@@ -410,6 +410,34 @@ let microbenches () =
     { mname = "region_set_mem"; gate = false;
       fn = (fun () -> ignore (Region.Set.mem set (100 * mib))) }
   in
+  (* XEMEM export's ownership check: one 2M window against a map of
+     256 enclave assignments (the share-steady shape).  One pass over
+     the assignments whatever the window size; expected 0 words/op,
+     but not on the warm-path gate — export is a control-path op. *)
+  let owned_map =
+    Phys_mem.create
+      ~topology:
+        (Numa.create ~zones:1 ~cores_per_zone:1 ~mem_per_zone:(1056 * mib))
+      ~host_reserved_per_zone:(32 * mib)
+  in
+  let tenant_blocks =
+    List.init 256 (fun i ->
+        match
+          Phys_mem.alloc owned_map ~owner:(Owner.Enclave i) ~zone:0
+            ~len:(4 * mib)
+        with
+        | Ok r -> r
+        | Error e -> failwith e)
+  in
+  let window =
+    Region.make ~base:(List.nth tenant_blocks 128).Region.base ~len:(2 * mib)
+  in
+  let phys_mem_owns =
+    { mname = "phys_mem_owns_2m"; gate = false;
+      fn =
+        (fun () ->
+          ignore (Phys_mem.owns owned_map (Owner.Enclave 128) window)) }
+  in
   (* rng — bits64 boxes its Int64 result by design; not on the gate *)
   let rng = Covirt_sim.Rng.create ~seed:9 in
   let rng_test =
@@ -419,7 +447,8 @@ let microbenches () =
   [
     translate; translate_warm; translate_cold; map_unmap;
     tlb_lookup; tlb_lookup_hit; tlb_lookup_miss; tlb_lookup_mixed;
-    charge_random; charge_stream; whitelist; cmdq; region_mem; rng_test;
+    charge_random; charge_stream; whitelist; cmdq; region_mem; phys_mem_owns;
+    rng_test;
   ]
 
 (* Microbench estimates, collected for the JSON report.

@@ -7,6 +7,7 @@ type t = {
   xemem : Covirt_xemem.Xemem.t;
   kernels : (int, Kitten.t) Hashtbl.t;
   mutable free_vectors : int list;
+  mutable free_count : int;  (* [List.length free_vectors], kept so a count is O(1) *)
   allocated_vectors : (int, unit) Hashtbl.t;
       (* vectors handed out by [alloc_ipi_vector] and not yet freed —
          the set the destroy-time scrub may legitimately return to the
@@ -25,7 +26,10 @@ let free_ipi_vector t v =
   if v < app_vector_lo || v > app_vector_hi then
     invalid_arg "Hobbes.free_ipi_vector";
   Hashtbl.remove t.allocated_vectors v;
-  if not (List.mem v t.free_vectors) then t.free_vectors <- v :: t.free_vectors
+  if not (List.mem v t.free_vectors) then begin
+    t.free_vectors <- v :: t.free_vectors;
+    t.free_count <- t.free_count + 1
+  end
 
 (* Destroy-time scrub: under enclave churn every per-tenant entry in
    the global tables is a leak unless something reclaims it when the
@@ -108,6 +112,7 @@ let create machine ~host_core =
       xemem = Covirt_xemem.Xemem.create pisces;
       kernels = Hashtbl.create 8;
       free_vectors = List.init vector_space (fun i -> app_vector_lo + i);
+      free_count = vector_space;
       allocated_vectors = Hashtbl.create 8;
       syscalls = 0;
     }
@@ -176,10 +181,11 @@ let alloc_ipi_vector t =
   | [] -> Error "application IPI vector space exhausted"
   | v :: rest ->
       t.free_vectors <- rest;
+      t.free_count <- t.free_count - 1;
       Hashtbl.replace t.allocated_vectors v ();
       Ok v
 
-let free_vector_count t = List.length t.free_vectors
+let free_vector_count t = t.free_count
 let allocated_vector_count t = Hashtbl.length t.allocated_vectors
 
 let grant_vector_pair t a b =

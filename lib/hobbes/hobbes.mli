@@ -80,7 +80,8 @@ val alloc_ipi_vector : t -> (int, string) result
 val free_ipi_vector : t -> int -> unit
 
 val free_vector_count : t -> int
-(** Vectors currently in the allocatable pool. *)
+(** Vectors currently in the allocatable pool; O(1), so callers may
+    poll it before every grant. *)
 
 val allocated_vector_count : t -> int
 (** Vectors handed out by {!alloc_ipi_vector} and not yet freed.

@@ -101,18 +101,55 @@ let release t region =
   sanitize_event t region Owner.Free
 
 let owner_at t addr =
-  if addr >= t.mmio_base then
-    match
-      List.find_opt (fun a -> Region.contains a.region addr) t.assignments
-    with
-    | Some a -> a.owner
-    | None -> Owner.Device "unmapped-mmio"
+  match List.find_opt (fun a -> Region.contains a.region addr) t.assignments with
+  | Some a -> a.owner
+  | None ->
+      if addr >= t.mmio_base then Owner.Device "unmapped-mmio" else Owner.Free
+
+(* The number of 4K page starts [base + k * 4K] (k >= 0, below [limit])
+   that fall inside [\[lo, hi)]. *)
+let page_starts ~base ~limit lo hi =
+  let lo = Int.max lo base and hi = Int.min hi limit in
+  if hi <= lo then 0
   else
-    match
-      List.find_opt (fun a -> Region.contains a.region addr) t.assignments
-    with
-    | Some a -> a.owner
-    | None -> Owner.Free
+    let pages d = (d + Addr.page_size_4k - 1) / Addr.page_size_4k in
+    pages (hi - base) - pages (lo - base)
+
+(* Assignments are disjoint, so summing the page starts each one of
+   [owner]'s covers, plus (for the owners [owner_at] reports on a miss)
+   the uncovered page starts of the span where a miss answers [owner],
+   counts every page start whose [owner_at] is [owner] exactly once. *)
+let rec owned_starts owner ~base ~limit ~miss_lo ~miss_hi acc = function
+  | [] -> acc
+  | a :: rest ->
+      let lo = a.region.Region.base and hi = Region.limit a.region in
+      let acc =
+        if Owner.equal a.owner owner then acc + page_starts ~base ~limit lo hi
+        else acc
+      in
+      let acc =
+        if lo < miss_hi && miss_lo < hi then
+          acc - page_starts ~base ~limit (Int.max lo miss_lo) (Int.min hi miss_hi)
+        else acc
+      in
+      owned_starts owner ~base ~limit ~miss_lo ~miss_hi acc rest
+
+let owns t owner r =
+  let base = r.Region.base and limit = Region.limit r in
+  (* Two matches, not a tuple: the query allocates nothing. *)
+  let miss_lo =
+    match owner with Owner.Device "unmapped-mmio" -> t.mmio_base | _ -> 0
+  in
+  let miss_hi =
+    match owner with
+    | Owner.Free -> t.mmio_base
+    | Owner.Device "unmapped-mmio" -> max_int
+    | _ -> 0
+  in
+  owned_starts owner ~base ~limit ~miss_lo ~miss_hi
+    (page_starts ~base ~limit miss_lo miss_hi)
+    t.assignments
+  = page_starts ~base ~limit base limit
 
 let owned_by t owner =
   List.filter_map

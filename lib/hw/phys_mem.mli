@@ -38,6 +38,15 @@ val owner_at : t -> Addr.t -> Owner.t
 (** Device MMIO windows report [Device]; out-of-range addresses are
     also treated as device space (the machine maps MMIO above DRAM). *)
 
+val owns : t -> Owner.t -> Region.t -> bool
+(** [owns t o r] holds when every 4K page start of [r] — [r.base],
+    [r.base + 4K], ... below [Region.limit r] — has [owner_at] equal
+    to [o]; it is exactly [List.for_all] of [owner_at] over those
+    addresses (so a region that straddles two owners, a freed hole or
+    [mmio_base] fails it).  One pass over the assignments, O(their
+    number) whatever the region's size, and it allocates nothing —
+    the ownership check behind [Xemem.export]. *)
+
 val owned_by : t -> Owner.t -> Region.Set.t
 val free_bytes : t -> zone:Numa.zone -> int
 

@@ -31,8 +31,11 @@ let create machine ~host_core =
 
 let machine t = t.machine
 let host_cpu t = Machine.cpu t.machine t.host_core
-let host_tsc t = Cpu.rdtsc (host_cpu t)
-let core_tsc t core = Cpu.rdtsc (Machine.cpu t.machine core)
+(* Read several times per op by the load generator and by
+   bench/e2e's per-op clock: plain field reads, so they stay cheap in
+   the dev profile, where -opaque stops cross-module inlining. *)
+let host_tsc t = t.machine.Machine.cores.(t.host_core).Cpu.tsc
+let core_tsc t core = t.machine.Machine.cores.(core).Cpu.tsc
 let tsc_ghz t = t.machine.Machine.model.Cost_model.ghz
 let hooks t = t.hooks
 let enclaves t = t.enclaves
@@ -422,6 +425,11 @@ let release_resources t enclave =
     (fun core ->
       let cpu = Machine.cpu t.machine core in
       Vmx.teardown cpu;
+      (* A relaunch gets a fresh EPT, so the dead enclave's translations
+         must not survive in the core's TLB: a stale hit would reach a
+         page that is no longer the enclave's without an EPT check.
+         Charged nothing — the entries are simply unreachable. *)
+      Tlb.flush_all cpu.Cpu.tlb;
       cpu.Cpu.owner <- Owner.Host;
       cpu.Cpu.isr <- None;
       cpu.Cpu.guest_pt <- None;

@@ -33,6 +33,36 @@ let test_vector_allocation () =
   let got = drain 0 in
   Alcotest.(check int) "vector space size" 160 got
 
+(* The pool size is a counter kept beside the free list: it must track
+   every alloc, free, repeated free and exhaustion exactly. *)
+let test_free_vector_count () =
+  let s = Helpers.boot_stack ~config:Covirt.Config.native () in
+  let h = s.Helpers.hobbes in
+  let count () = Covirt_hobbes.Hobbes.free_vector_count h in
+  let alloc () =
+    match Covirt_hobbes.Hobbes.alloc_ipi_vector h with
+    | Ok v -> v
+    | Error e -> Alcotest.fail e
+  in
+  let n0 = count () in
+  let a = alloc () in
+  let b = alloc () in
+  Alcotest.(check int) "two allocated" (n0 - 2) (count ());
+  Covirt_hobbes.Hobbes.free_ipi_vector h a;
+  Covirt_hobbes.Hobbes.free_ipi_vector h a;
+  Alcotest.(check int) "a repeated free is a no-op" (n0 - 1) (count ());
+  Covirt_hobbes.Hobbes.free_ipi_vector h b;
+  Alcotest.(check int) "back to full" n0 (count ());
+  let rec drain n =
+    match Covirt_hobbes.Hobbes.alloc_ipi_vector h with
+    | Ok _ -> drain (n + 1)
+    | Error _ -> n
+  in
+  Alcotest.(check int) "count equals what can be allocated" n0 (drain 0);
+  Alcotest.(check int) "empty" 0 (count ());
+  Alcotest.(check int) "conserved" n0
+    (count () + Covirt_hobbes.Hobbes.allocated_vector_count h)
+
 let test_grant_pair () =
   let s = Helpers.boot_stack ~config:Covirt.Config.native () in
   let b_enclave, _ = Helpers.second_enclave s () in
@@ -147,6 +177,7 @@ let () =
         [
           Alcotest.test_case "launch wiring" `Quick test_launch_wires_everything;
           Alcotest.test_case "vector allocation" `Quick test_vector_allocation;
+          Alcotest.test_case "free vector count" `Quick test_free_vector_count;
           Alcotest.test_case "grant pair" `Quick test_grant_pair;
         ] );
       ( "ipc",

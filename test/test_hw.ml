@@ -218,6 +218,163 @@ let test_phys_mem_assign () =
   Alcotest.(check bool) "double assign fails" true
     (Result.is_error (Phys_mem.assign mem ~owner:(Owner.Enclave 3) r))
 
+(* [Phys_mem.owns] against its per-page definition, over random maps
+   built by every mutator.  Mutations land in DRAM across the top of
+   zone 0's host reservation, or inside the registered device windows
+   (MMIO space outside them belongs to no one yet, and [add_device]
+   will claim it); queries also straddle [mmio_base].  Regions thus
+   straddle owners, freed holes and the MMIO boundary. *)
+type target = bool * int * int (* in MMIO space?, first page, pages *)
+
+type mem_op =
+  | Alloc of int * int * int (* owner, zone, pages *)
+  | Assign of int * target (* owner, target *)
+  | Release of target
+  | Chown of int * target
+  | Add_device of int (* pages *)
+
+let pm_owners =
+  [|
+    Owner.Host; Owner.Enclave 1; Owner.Enclave 2; Owner.Free;
+    Owner.Device "dev0"; Owner.Device "unmapped-mmio";
+  |]
+
+let page = Addr.page_size_4k
+let dram_window = 120 * mib
+
+let gen_mem_op =
+  QCheck2.Gen.(
+    let owner = int_bound (Array.length pm_owners - 1) in
+    let pages = int_range 1 1100 in
+    let target = triple bool (int_bound 8191) pages in
+    oneof
+      [
+        map3 (fun o z n -> Alloc (o, z, n)) owner (int_bound 1) pages;
+        map2 (fun o t -> Assign (o, t)) owner target;
+        map (fun t -> Release t) target;
+        map2 (fun o t -> Chown (o, t)) owner target;
+        map (fun n -> Add_device n) pages;
+      ])
+
+(* The region a mutation targets, if any: device windows are
+   registered back to back from [mmio_base]. *)
+let target_region mem devices (in_mmio, p, n) =
+  if not in_mmio then
+    Some (Region.make ~base:(dram_window + (p * page)) ~len:(n * page))
+  else
+    Option.map
+      (fun last ->
+        let lo = Phys_mem.mmio_base mem and hi = Region.limit last in
+        let base = lo + (p * page mod (hi - lo)) in
+        Region.make ~base ~len:(Int.min (n * page) (hi - base)))
+      (Phys_mem.find_device mem ~name:(Printf.sprintf "dev%d" (!devices - 1)))
+
+let apply_mem_op mem devices op =
+  let on t f = Option.iter f (target_region mem devices t) in
+  match op with
+  | Alloc (o, zone, n) ->
+      ignore (Phys_mem.alloc mem ~owner:pm_owners.(o) ~zone ~len:(n * page))
+  | Assign (o, t) ->
+      on t (fun r -> ignore (Phys_mem.assign mem ~owner:pm_owners.(o) r))
+  | Release t -> on t (Phys_mem.release mem)
+  | Chown (o, t) -> on t (fun r -> Phys_mem.chown mem r pm_owners.(o))
+  | Add_device n ->
+      let name = Printf.sprintf "dev%d" !devices in
+      incr devices;
+      ignore (Phys_mem.add_device mem ~name ~len:(n * page))
+
+(* A query window: inside an existing assignment (so [true] answers
+   are common), or anywhere in DRAM or across [mmio_base], with a base
+   that is page-aligned or not and a length that is whole pages or
+   not. *)
+let gen_query =
+  QCheck2.Gen.(
+    quad bool (int_bound 1_000_000)
+      (pair (int_bound 8191) (oneof [ pure 0; int_range 1 (page - 1) ]))
+      (pair (int_range 0 300) (oneof [ pure 0; int_range 1 (page - 1) ])))
+
+let query_region mem (inside, pick, (p, off), (n, extra)) =
+  let len = Int.max 1 ((n * page) + extra) in
+  match Phys_mem.snapshot mem with
+  | _ :: _ as assignments when inside ->
+      let a, _ = List.nth assignments (pick mod List.length assignments) in
+      let base = a.Region.base + ((p * page) + off) mod a.Region.len in
+      Region.make ~base ~len:(Int.min len (Region.limit a - base))
+  | _ ->
+      let window =
+        if pick land 1 = 0 then dram_window
+        else Phys_mem.mmio_base mem - (8 * mib)
+      in
+      Region.make ~base:(window + (p * page) + off) ~len
+
+let owns_by_pages mem owner r =
+  let rec go addr =
+    addr >= Region.limit r
+    || (Owner.equal (Phys_mem.owner_at mem addr) owner && go (addr + page))
+  in
+  go r.Region.base
+
+let prop_owns_matches_per_page =
+  Covirt_test_util.Helpers.qtest ~count:150
+    "Phys_mem.owns matches the per-page owner_at scan"
+    QCheck2.Gen.(
+      pair (list_size (int_range 0 24) gen_mem_op)
+        (list_size (int_range 1 8) gen_query))
+    (fun (ops, queries) ->
+      let mem = mk_mem () in
+      let devices = ref 0 in
+      List.iter (apply_mem_op mem devices) ops;
+      List.for_all
+        (fun q ->
+          let r = query_region mem q in
+          Array.for_all
+            (fun o -> Phys_mem.owns mem o r = owns_by_pages mem o r)
+            pm_owners)
+        queries)
+
+let test_phys_mem_owns_cases () =
+  let mem = mk_mem () in
+  let r ~base ~len = Region.make ~base ~len in
+  let owns o reg = Phys_mem.owns mem o reg in
+  let boot =
+    match Phys_mem.alloc mem ~owner:(Owner.Enclave 1) ~zone:0 ~len:(6 * mib) with
+    | Ok b -> b
+    | Error e -> Alcotest.fail e
+  in
+  (* a hot-add right after the boot block: two adjacent assignments *)
+  let hot = r ~base:(Region.limit boot) ~len:(2 * mib) in
+  (match Phys_mem.assign mem ~owner:(Owner.Enclave 1) hot with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let across = r ~base:(Region.limit boot - mib) ~len:(2 * mib) in
+  Alcotest.(check bool) "across adjacent same-owner regions" true
+    (owns (Owner.Enclave 1) across);
+  Alcotest.(check bool) "straddles host" false
+    (owns (Owner.Enclave 1) (r ~base:(boot.Region.base - page) ~len:(2 * page)));
+  Alcotest.(check bool) "runs into free memory" false
+    (owns (Owner.Enclave 1) (r ~base:(Region.limit hot - page) ~len:(2 * page)));
+  Phys_mem.release mem (r ~base:(boot.Region.base + mib) ~len:page);
+  Alcotest.(check bool) "freed hole" false
+    (owns (Owner.Enclave 1) (r ~base:boot.Region.base ~len:(2 * mib)));
+  Alcotest.(check bool) "the hole is free" true
+    (owns Owner.Free (r ~base:(boot.Region.base + mib) ~len:page));
+  (* one unaligned page start, in the page before the hole; the next
+     start would fall in the hole but lies past the region's end *)
+  Alcotest.(check bool) "ends short of the hole" true
+    (owns (Owner.Enclave 1) (r ~base:(boot.Region.base + mib - page + 8) ~len:page));
+  (* page starts step from the region's own base, as the per-page scan
+     does: one byte past a page adds a start, and an unaligned base
+     checks the page the base falls in *)
+  Alcotest.(check bool) "a byte into the next page" false
+    (owns (Owner.Enclave 1) (r ~base:(Region.limit hot - page) ~len:(page + 1)));
+  Alcotest.(check bool) "unaligned base inside a page" true
+    (owns (Owner.Enclave 1) (r ~base:(Region.limit hot - page + 8) ~len:(page - 8)));
+  let mmio = Phys_mem.mmio_base mem in
+  Alcotest.(check bool) "unmapped MMIO" true
+    (owns (Owner.Device "unmapped-mmio") (r ~base:mmio ~len:(2 * page)));
+  Alcotest.(check bool) "free stops at mmio_base" false
+    (owns Owner.Free (r ~base:(mmio - page) ~len:(2 * page)))
+
 let () =
   Alcotest.run "hw"
     [
@@ -256,5 +413,7 @@ let () =
           Alcotest.test_case "free accounting" `Quick test_phys_mem_free_accounting;
           Alcotest.test_case "devices" `Quick test_phys_mem_devices;
           Alcotest.test_case "assign" `Quick test_phys_mem_assign;
+          Alcotest.test_case "owns cases" `Quick test_phys_mem_owns_cases;
+          prop_owns_matches_per_page;
         ] );
     ]

@@ -230,6 +230,41 @@ let test_destroy_reclaims () =
   Alcotest.(check bool) "cores back to host" true
     (Owner.equal (Machine.cpu machine 1).Cpu.owner Owner.Host)
 
+(* Reproducer for a stale-TLB isolation escape: teardown used to leave
+   the dead enclave's translations in its cores' TLBs, so a relaunched
+   tenant's wild write to a page its earlier incarnation touched hit
+   the stale entry and landed in the neighbour now holding that page,
+   with no EPT check. *)
+let test_teardown_flushes_stale_tlb () =
+  let s = Helpers.boot_stack ~cores:[ 1 ] ~mem:[ (0, 64 * mib) ] () in
+  let p = Helpers.pisces s in
+  let old = List.hd (Region.Set.to_list s.Helpers.enclave.Enclave.memory) in
+  let page = old.Region.base + mib in
+  Covirt_kitten.Kitten.store_addr (Helpers.ctx s 1) page;
+  Pisces.destroy p s.Helpers.enclave;
+  let neighbour, neighbour_kitten =
+    Helpers.second_enclave s ~name:"neighbour" ~cores:[ 3 ]
+      ~mem:[ (0, 64 * mib) ] ()
+  in
+  Alcotest.(check bool) "neighbour holds the old page" true
+    (Region.Set.mem neighbour.Enclave.memory page);
+  let _, tenant_kitten =
+    Helpers.second_enclave s ~name:"relaunch" ~cores:[ 1 ]
+      ~mem:[ (0, 64 * mib) ] ()
+  in
+  (match
+     Pisces.run_guarded p (fun () ->
+         Covirt_kitten.Kitten.store_addr
+           (Covirt_kitten.Kitten.context tenant_kitten ~core:1)
+           page)
+   with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "wild write through a stale TLB entry not contained");
+  Alcotest.(check (option string)) "neighbour not corrupted" None
+    (Machine.is_corrupted s.Helpers.machine ~enclave:neighbour.Enclave.id);
+  Alcotest.(check bool) "neighbour kernel healthy" true
+    (Covirt_kitten.Kitten.health neighbour_kitten = `Ok)
+
 let test_run_guarded () =
   let mp = framework () in
   let _, p = mp in
@@ -278,6 +313,8 @@ let () =
           Alcotest.test_case "boot" `Quick test_boot_lifecycle;
           Alcotest.test_case "destroy reclaims" `Quick test_destroy_reclaims;
           Alcotest.test_case "run_guarded" `Quick test_run_guarded;
+          Alcotest.test_case "teardown flushes stale TLB" `Quick
+            test_teardown_flushes_stale_tlb;
         ] );
       ( "resources",
         [

@@ -65,6 +65,63 @@ let test_export_ownership_enforced () =
           ~name:"stolen"
           ~pages:[ Region.make ~base:0 ~len:4096 ]))
 
+let ownership_error = Error "exporter does not own all pages of the segment"
+
+(* The exporter's boot block plus a hot-added block right after it. *)
+let hot_added () =
+  let s, exporter, _ = two_enclaves () in
+  let boot = List.hd (Region.Set.to_list exporter.Enclave.memory) in
+  let hot =
+    match
+      Pisces.add_memory (Helpers.pisces s) exporter ~zone:1 ~len:(4 * mib)
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "hot-add is adjacent" (Region.limit boot) hot.Region.base;
+  (s, exporter, boot, hot)
+
+let export_window s exporter ~name pages =
+  Covirt_xemem.Xemem.export
+    (Covirt_hobbes.Hobbes.xemem s.Helpers.hobbes)
+    ~exporter:(Covirt_xemem.Name_service.Enclave_export exporter.Enclave.id)
+    ~name ~pages
+
+let check_export = Alcotest.(check (result int string))
+
+let test_export_across_hot_add () =
+  let s, exporter, boot, _ = hot_added () in
+  let window = Region.make ~base:(Region.limit boot - (2 * mib)) ~len:(4 * mib) in
+  match export_window s exporter ~name:"across" [ window ] with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "window across boot and hot-added memory: %s" e
+
+let test_export_rejects_foreign_frames () =
+  let s, exporter, boot, hot = hot_added () in
+  let page = Addr.page_size_4k in
+  let owner_at = Phys_mem.owner_at s.Helpers.machine.Machine.mem in
+  Alcotest.(check bool) "t0 owns the page below the boot block" true
+    (Owner.equal (owner_at (boot.Region.base - page))
+       (Owner.Enclave s.Helpers.enclave.Enclave.id));
+  Alcotest.(check bool) "free above the hot-add" true
+    (Owner.equal (owner_at (Region.limit hot)) Owner.Free);
+  check_export "touches the neighbour" ownership_error
+    (export_window s exporter ~name:"neighbour"
+       [ Region.make ~base:(boot.Region.base - page) ~len:(2 * mib) ]);
+  check_export "runs past the hot-add into free memory" ownership_error
+    (export_window s exporter ~name:"past"
+       [ Region.make ~base:(Region.limit hot - mib) ~len:(2 * mib) ]);
+  check_export "an owned region plus host memory" ownership_error
+    (export_window s exporter ~name:"host"
+       [ Region.make ~base:boot.Region.base ~len:(2 * mib);
+         Region.make ~base:0 ~len:(2 * mib) ]);
+  (match Pisces.remove_memory (Helpers.pisces s) exporter hot with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  check_export "spans the freed hot-add" ownership_error
+    (export_window s exporter ~name:"freed"
+       [ Region.make ~base:(Region.limit boot - mib) ~len:(2 * mib) ])
+
 let test_attach_detach_flow () =
   let s, exporter, exporter_kitten = two_enclaves () in
   let base, segid =
@@ -177,6 +234,10 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_name_service_basics;
           Alcotest.test_case "ownership" `Quick test_export_ownership_enforced;
+          Alcotest.test_case "export across hot-add" `Quick
+            test_export_across_hot_add;
+          Alcotest.test_case "export rejects foreign frames" `Quick
+            test_export_rejects_foreign_frames;
         ] );
       ( "attach",
         [
