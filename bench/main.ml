@@ -255,9 +255,15 @@ let run_fleet ~quick () =
    ways: Bechamel for ns/op, and a direct [Gc.minor_words] delta for
    minor words/op.  [gate] marks the warm-path set — translate, TLB
    lookup, memoized charge — that the allocation gate pins to exactly
-   zero words/op (the zero-GC hot-path contract; see DESIGN.md §13). *)
+   zero words/op (the zero-GC hot-path contract; see DESIGN.md §13).
+   [iters] is the length of each floor-latency loop (and caps the
+   allocation-measurement reps): 100k for the ns-scale hot paths,
+   fewer for the µs-scale lifecycle benches so they do not add
+   seconds to the experiment. *)
 
-type micro = { mname : string; gate : bool; fn : unit -> unit }
+type micro = { mname : string; gate : bool; iters : int; fn : unit -> unit }
+
+let floor_iters = 100_000
 
 let microbenches () =
   let open Covirt_hw in
@@ -267,7 +273,7 @@ let microbenches () =
   let ept = Ept.create () in
   Ept.map_region ept (Region.make ~base:0 ~len:(1024 * mib));
   let translate =
-    { mname = "ept_translate"; gate = true;
+    { mname = "ept_translate"; gate = true; iters = floor_iters;
       fn =
         (fun () -> ignore (Ept.translate_code ept 0x12345678 ~access:`Read)) }
   in
@@ -284,7 +290,7 @@ let microbenches () =
   done;
   let widx = ref 0 in
   let translate_warm =
-    { mname = "ept_translate_warm"; gate = true;
+    { mname = "ept_translate_warm"; gate = true; iters = floor_iters;
       fn =
         (fun () ->
           incr widx;
@@ -297,7 +303,7 @@ let microbenches () =
   Ept.map_region ept_cold (Region.make ~base:0 ~len:grain_len);
   let cidx = ref 0 in
   let translate_cold =
-    { mname = "ept_translate_cold"; gate = false;
+    { mname = "ept_translate_cold"; gate = false; iters = floor_iters;
       fn =
         (fun () ->
           incr cidx;
@@ -309,7 +315,7 @@ let microbenches () =
   (* EPT map/unmap of a 2M region *)
   let scratch = Ept.create () in
   let map_unmap =
-    { mname = "ept_map_unmap_2m"; gate = false;
+    { mname = "ept_map_unmap_2m"; gate = false; iters = floor_iters;
       fn =
         (fun () ->
           let r = Region.make ~base:(2 * mib) ~len:(2 * mib) in
@@ -322,7 +328,7 @@ let microbenches () =
   let tlb = Tlb.create ~model ~rng:(Covirt_sim.Rng.create ~seed:1) in
   Tlb.install tlb 0x200000 ~page_size:Addr.Page_2m;
   let tlb_lookup =
-    { mname = "tlb_lookup"; gate = true;
+    { mname = "tlb_lookup"; gate = true; iters = floor_iters;
       fn = (fun () -> ignore (Tlb.lookup tlb 0x200400)) }
   in
   (* TLB lookup against a completely full TLB — every probe hits, and
@@ -335,7 +341,7 @@ let microbenches () =
   Array.iter (fun a -> Tlb.install full a ~page_size:Addr.Page_4k) hit_addrs;
   let hidx = ref 0 in
   let tlb_lookup_hit =
-    { mname = "tlb_lookup_hit"; gate = true;
+    { mname = "tlb_lookup_hit"; gate = true; iters = floor_iters;
       fn =
         (fun () ->
           incr hidx;
@@ -343,7 +349,7 @@ let microbenches () =
   in
   let midx = ref 0 in
   let tlb_lookup_miss =
-    { mname = "tlb_lookup_miss"; gate = true;
+    { mname = "tlb_lookup_miss"; gate = true; iters = floor_iters;
       fn =
         (fun () ->
           incr midx;
@@ -351,7 +357,7 @@ let microbenches () =
   in
   let xidx = ref 0 in
   let tlb_lookup_mixed =
-    { mname = "tlb_lookup_mixed"; gate = true;
+    { mname = "tlb_lookup_mixed"; gate = true; iters = floor_iters;
       fn =
         (fun () ->
           incr xidx;
@@ -368,14 +374,14 @@ let microbenches () =
   in
   let cpu0 = Machine.cpu machine 0 in
   let charge_random =
-    { mname = "charge_random"; gate = true;
+    { mname = "charge_random"; gate = true; iters = floor_iters;
       fn =
         (fun () ->
           Machine.charge_random machine cpu0 ~ops:1000 ~base:(64 * mib)
             ~working_set:(16 * mib) ~sharers:1 ~page_size:Addr.Page_2m) }
   in
   let charge_stream =
-    { mname = "charge_stream"; gate = true;
+    { mname = "charge_stream"; gate = true; iters = floor_iters;
       fn =
         (fun () ->
           Machine.charge_stream machine cpu0 ~base:(64 * mib)
@@ -385,7 +391,7 @@ let microbenches () =
   let wl = Covirt.Whitelist.create ~enclave_cores:[ 1; 2; 3; 4 ] in
   Covirt.Whitelist.grant wl ~vector:0x44 ~dest:7;
   let whitelist =
-    { mname = "whitelist_permits"; gate = false;
+    { mname = "whitelist_permits"; gate = false; iters = floor_iters;
       fn =
         (fun () ->
           ignore
@@ -395,7 +401,7 @@ let microbenches () =
   (* command queue round trip *)
   let q = Covirt.Command.create_queue () in
   let cmdq =
-    { mname = "command_queue_roundtrip"; gate = false;
+    { mname = "command_queue_roundtrip"; gate = false; iters = floor_iters;
       fn =
         (fun () ->
           ignore (Covirt.Command.enqueue q Covirt.Command.Flush_tlb_all);
@@ -407,7 +413,7 @@ let microbenches () =
       (List.init 64 (fun i -> Region.make ~base:(i * 4 * mib) ~len:(2 * mib)))
   in
   let region_mem =
-    { mname = "region_set_mem"; gate = false;
+    { mname = "region_set_mem"; gate = false; iters = floor_iters;
       fn = (fun () -> ignore (Region.Set.mem set (100 * mib))) }
   in
   (* XEMEM export's ownership check: one 2M window against a map of
@@ -433,7 +439,7 @@ let microbenches () =
     Region.make ~base:(List.nth tenant_blocks 128).Region.base ~len:(2 * mib)
   in
   let phys_mem_owns =
-    { mname = "phys_mem_owns_2m"; gate = false;
+    { mname = "phys_mem_owns_2m"; gate = false; iters = floor_iters;
       fn =
         (fun () ->
           ignore (Phys_mem.owns owned_map (Owner.Enclave 128) window)) }
@@ -441,7 +447,7 @@ let microbenches () =
   (* rng — bits64 boxes its Int64 result by design; not on the gate *)
   let rng = Covirt_sim.Rng.create ~seed:9 in
   let rng_test =
-    { mname = "rng_bits64"; gate = false;
+    { mname = "rng_bits64"; gate = false; iters = floor_iters;
       fn = (fun () -> ignore (Covirt_sim.Rng.bits64 rng)) }
   in
   [
@@ -450,6 +456,62 @@ let microbenches () =
     charge_random; charge_stream; whitelist; cmdq; region_mem; phys_mem_owns;
     rng_test;
   ]
+
+(* Enclave lifecycle, the per-layer Pisces create/boot/destroy unit
+   ops: floor ns and words/op only, not timed by Bechamel, whose GC
+   compaction per sample would pay for the 255-tenant node's heap.
+   Every launch builds two tables (the EPT Covirt prepares in the
+   create hook, Kitten's direct map at boot), so [ept_create] is one of
+   them: a fresh EPT mapping a 24 MiB tenant at 2M grain. *)
+let lifecycle_benches () =
+  let open Covirt_hw in
+  let mib = Covirt_sim.Units.mib in
+  let ept_create =
+    { mname = "ept_create"; gate = false; iters = 10_000;
+      fn =
+        (fun () ->
+          let e = Ept.create () in
+          Ept.map_region e (Region.make ~base:(64 * mib) ~len:(24 * mib))) }
+  in
+  (* One launch and destroy of a 24 MiB, one-core tenant under mem+ipi
+     on a node with 255 live tenants (the tenant-churn shape).  The
+     node is built on the first call, so it is live only while this
+     bench runs. *)
+  let tenants = 256 in
+  let cores_per_zone = (tenants + 3) / 2 in
+  let launch node core =
+    match
+      Covirt_hobbes.Hobbes.launch_enclave node
+        ~name:(Printf.sprintf "tenant-%d" core)
+        ~cores:[ core ]
+        ~mem:[ (core / cores_per_zone, 24 * mib) ]
+        ()
+    with
+    | Ok (e, _) -> e
+    | Error m -> failwith m
+  in
+  let node =
+    lazy
+      (let node =
+         Covirt_hobbes.Hobbes.create_node ~seed:11 ~cores_per_zone
+           ~mem_mib_per_zone:((cores_per_zone * 26) + 256) ()
+       in
+       ignore
+         (Covirt.enable (Covirt_hobbes.Hobbes.pisces node)
+            ~config:Covirt.Config.mem_ipi);
+       for core = 1 to tenants - 1 do ignore (launch node core) done;
+       node)
+  in
+  let launch_destroy =
+    { mname = "enclave_launch_destroy"; gate = false; iters = 1_000;
+      fn =
+        (fun () ->
+          let node = Lazy.force node in
+          Covirt_pisces.Pisces.destroy
+            (Covirt_hobbes.Hobbes.pisces node)
+            (launch node tenants)) }
+  in
+  [ ept_create; launch_destroy ]
 
 (* Microbench estimates, collected for the JSON report.
    [micro_results] is the floor latency (best of N tight loops) — the
@@ -486,8 +548,7 @@ let native = Sys.backend_type = Sys.Native
 (* Floor latency: best of a few tight loops.  The minimum is the
    standard robust per-op estimate on a preempted/shared CPU, where an
    OLS fit over noisy samples can be arbitrarily bad. *)
-let min_ns_of f =
-  let iters = 100_000 in
+let min_ns_of ~iters f =
   let best = ref infinity in
   for _ = 1 to 3 do
     let t0 = Unix.gettimeofday () in
@@ -499,17 +560,18 @@ let min_ns_of f =
   !best
 
 let measure_alloc ms =
-  let calib = minor_words_of noop alloc_reps in
   let t =
     Covirt_sim.Table.create
       ~columns:[ "operation"; "minor words/op"; "gate"; "floor ns/op" ]
   in
   List.iter
     (fun m ->
+      let reps = min alloc_reps m.iters in
       let w =
-        (minor_words_of m.fn alloc_reps -. calib) /. float_of_int alloc_reps
+        (minor_words_of m.fn reps -. minor_words_of noop reps)
+        /. float_of_int reps
       in
-      let ns = min_ns_of m.fn in
+      let ns = min_ns_of ~iters:m.iters m.fn in
       micro_alloc := (m.mname, w) :: !micro_alloc;
       micro_results := (m.mname, ns) :: !micro_results;
       if m.gate && native && w <> 0.0 then
@@ -579,7 +641,7 @@ let run_bechamel () =
     ms;
   Covirt_sim.Table.print t;
   section "Minor allocation per operation (Gc.minor_words delta)";
-  measure_alloc ms
+  measure_alloc (ms @ lifecycle_benches ())
 
 (* ------------------------------------------------------------------ *)
 (* The persisted benchmark pipeline: every experiment's wall-clock is

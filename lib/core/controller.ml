@@ -283,11 +283,15 @@ let on_vector_revoke t enclave ~vector ~dest =
 let on_destroyed t enclave =
   (match instance_for t ~enclave_id:enclave.Enclave.id with
   | Some i ->
-      Hashtbl.replace t.archived enclave.Enclave.id i.reports;
-      (* The whitelist dies with the instance; keep its dropped-IPI
-         count so post-mortem queries stay truthful. *)
-      Hashtbl.replace t.archived_drops enclave.Enclave.id
-        (Whitelist.dropped i.whitelist)
+      (* The whitelist dies with the instance; keep its reports and
+         dropped-IPI count so post-mortem queries stay truthful.  Only
+         non-empty answers are kept: the lookups default to [[]] and
+         0, and the archive lives as long as the controller. *)
+      if i.reports <> [] then
+        Hashtbl.replace t.archived enclave.Enclave.id i.reports;
+      let drops = Whitelist.dropped i.whitelist in
+      if drops <> 0 then
+        Hashtbl.replace t.archived_drops enclave.Enclave.id drops
   | None -> ());
   t.instances <-
     List.filter (fun (id, _) -> id <> enclave.Enclave.id) t.instances;

@@ -24,7 +24,13 @@ and entry = Table of node | Leaf of { page_size : Addr.page_size; perms : perms 
    array — a warm lookup is two array reads and an int compare, no
    hashing.  The cache carries the [writes] counter it was filled
    under and self-invalidates wholesale when any leaf is installed or
-   removed. *)
+   removed.
+
+   Layout: two flat arrays, [wkeys] (ints) and [wentries] (initially
+   one shared [Uniform None]).  256 slots keep each array within
+   [Max_young_wosize], so both are minor-heap blocks: creating an EPT
+   (two per enclave launch) allocates no major-heap block and forces
+   no minor collection. *)
 type walk_entry =
   | Uniform of (Addr.page_size * perms) option
   | Pt of {
@@ -34,9 +40,9 @@ type walk_entry =
              answer for that 4K page, including "unmapped" *)
     }
 
-type wslot = { mutable wkey : int; mutable wentry : walk_entry }
+type walk_cache = { wkeys : int array; wentries : walk_entry array }
 
-let walk_cache_slots = 1024
+let walk_cache_slots = 256
 
 type t = {
   uid : int;
@@ -47,7 +53,7 @@ type t = {
   mutable n4k : int;
   mutable n2m : int;
   mutable n1g : int;
-  walk_cache : wslot array option;
+  walk_cache : walk_cache option;
   mutable walk_cache_gen : int;
   mutable walk_hits : int;
   mutable walk_misses : int;
@@ -73,8 +79,10 @@ let create ?(max_page = Addr.Page_1g) ?(walk_cache = true) () =
     walk_cache =
       (if walk_cache then
          Some
-           (Array.init walk_cache_slots (fun _ ->
-                { wkey = -1; wentry = Uniform None }))
+           {
+             wkeys = Array.make walk_cache_slots (-1);
+             wentries = Array.make walk_cache_slots (Uniform None);
+           }
        else None);
     walk_cache_gen = 0;
     walk_hits = 0;
@@ -270,23 +278,22 @@ let cov_tap : (int -> unit) ref = ref (fun _ -> ())
    reads and an int compare; the per-4K slot answers are the stored
    [(page_size * perms) option] values themselves, so nothing on the
    hit path allocates (enforced by the bench allocation gate and
-   covirt-lint check 6).  The wholesale invalidation scan is a plain
-   loop — a closure there would charge every post-write translate. *)
+   covirt-lint check 6).  The wholesale invalidation is an
+   [Array.fill] of the key array — no closure on a post-write
+   translate. *)
 let find_leaf t addr =
   match t.walk_cache with
   | None ->
       if !cov_on then !cov_tap 2;
       find_leaf_uncached t addr
-  | Some cache ->
+  | Some { wkeys; wentries } ->
       if t.walk_cache_gen <> t.writes then begin
-        for i = 0 to walk_cache_slots - 1 do
-          cache.(i).wkey <- -1
-        done;
+        Array.fill wkeys 0 walk_cache_slots (-1);
         t.walk_cache_gen <- t.writes
       end;
       let key = addr lsr 21 in
-      let s = cache.(key land (walk_cache_slots - 1)) in
-      if s.wkey = key then begin
+      let s = key land (walk_cache_slots - 1) in
+      if wkeys.(s) = key then begin
         t.walk_hits <- t.walk_hits + 1;
         if !cov_on then !cov_tap 0;
         if !Covirt_obs.Metrics.on then
@@ -297,10 +304,10 @@ let find_leaf t addr =
         if !cov_on then !cov_tap 1;
         if !Covirt_obs.Metrics.on then
           Covirt_obs.Metrics.add (Lazy.force m_walk_miss) 1;
-        s.wentry <- fill_walk_entry t addr;
-        s.wkey <- key
+        wentries.(s) <- fill_walk_entry t addr;
+        wkeys.(s) <- key
       end;
-      (match s.wentry with
+      (match wentries.(s) with
       | Uniform r -> r
       | Pt { node; slots } -> (
           let i = slice addr 1 in

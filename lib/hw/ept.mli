@@ -53,7 +53,12 @@ val create : ?max_page:Addr.page_size -> ?walk_cache:bool -> unit -> t
 (** [max_page] defaults to [Page_1g].  [walk_cache] (default [true])
     disables the paging-structure walk cache when [false] — the
     reference configuration the equivalence property tests and the
-    cold-walk benchmarks compare against. *)
+    cold-walk benchmarks compare against.
+
+    Creating a table is cheap enough to do per enclave launch: the walk
+    cache is two flat 256-slot arrays, each small enough to be a
+    minor-heap block, so [create] allocates nothing in the major heap
+    and forces no minor collection. *)
 
 val max_page : t -> Addr.page_size
 (** The largest leaf size coalescing may produce for this table. *)

@@ -395,6 +395,40 @@ let test_dropped_ipis_survive_destroy () =
   Alcotest.(check int) "drop count survives destruction" 1
     (Covirt.dropped_ipis stack.Helpers.controller ~enclave_id:id)
 
+(* Post-mortem answers for two dead enclaves: one that dropped an IPI
+   and crashed (its archive holds both), one that did neither (nothing
+   archived; the lookups answer from their defaults). *)
+let test_archive_of_dead_enclaves () =
+  let stack = Helpers.boot_stack () in
+  let quiet, _ = Helpers.second_enclave stack () in
+  let ctx = Helpers.ctx stack 1 in
+  let noisy = stack.Helpers.enclave.Enclave.id in
+  Covirt_kitten.Kitten.send_ipi ctx ~dest:(Enclave.bsp quiet) ~vector:0x77;
+  Alcotest.(check bool) "crashed" true
+    (Result.is_error
+       (Pisces.run_guarded (Helpers.pisces stack) (fun () ->
+            Covirt_kitten.Kitten.store_addr ctx 0x3000)));
+  Pisces.destroy (Helpers.pisces stack) quiet;
+  let c = stack.Helpers.controller in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "enclave %d has no live instance" id)
+        true
+        (Covirt.Controller.instance_for c ~enclave_id:id = None))
+    [ noisy; quiet.Enclave.id ];
+  Alcotest.(check (list string)) "crashed enclave: reports archived"
+    [ "errant-ipi"; "memory-violation" ]
+    (List.map
+       (fun r -> Covirt.Fault_report.kind_name r.Covirt.Fault_report.kind)
+       (Covirt.reports c ~enclave_id:noisy));
+  Alcotest.(check int) "crashed enclave: drop archived" 1
+    (Covirt.dropped_ipis c ~enclave_id:noisy);
+  Alcotest.(check int) "quiet enclave: no reports" 0
+    (List.length (Covirt.reports c ~enclave_id:quiet.Enclave.id));
+  Alcotest.(check int) "quiet enclave: no drops" 0
+    (Covirt.dropped_ipis c ~enclave_id:quiet.Enclave.id)
+
 let test_detach_spares_foreign_hooks () =
   let machine = Helpers.small_machine () in
   let hobbes = Covirt_hobbes.Hobbes.create machine ~host_core:0 in
@@ -549,6 +583,8 @@ let () =
             test_subscription_feed;
           Alcotest.test_case "dropped IPIs survive destroy" `Quick
             test_dropped_ipis_survive_destroy;
+          Alcotest.test_case "archive of dead enclaves" `Quick
+            test_archive_of_dead_enclaves;
           Alcotest.test_case "detach spares foreign hooks" `Quick
             test_detach_spares_foreign_hooks;
         ] );

@@ -105,12 +105,17 @@ let test_covers_memo_invalidation () =
 (* Property: with the walk cache on, every translate in a random
    map/unmap/translate interleaving answers exactly as the uncached
    reference does — including probes of stale windows right after the
-   mutation that invalidated them. *)
+   mutation that invalidated them.  Each op lands in one of four
+   windows 2 GiB apart: 2 GiB is a multiple of the cache's reach at
+   256 and at 1024 slots, so ops in different windows fight over the
+   same cache slots. *)
+let alias_stride = 2048 * mib
+
 let gen_ops =
   QCheck2.Gen.(
     list_size (int_range 1 25)
-      (triple (oneofl [ `Map; `Unmap; `Probe ]) (int_range 0 600)
-         (int_range 1 64)))
+      (quad (oneofl [ `Map; `Unmap; `Probe ]) (int_range 0 3)
+         (int_range 0 600) (int_range 1 64)))
 
 let prop_cached_equals_uncached =
   Covirt_test_util.Helpers.qtest ~count:80 "cached translate = uncached"
@@ -119,8 +124,9 @@ let prop_cached_equals_uncached =
       let cached = Ept.create ~max_page:Addr.Page_2m () in
       let plain = Ept.create ~max_page:Addr.Page_2m ~walk_cache:false () in
       List.for_all
-        (fun (op, page, pages) ->
-          let r = Region.make ~base:(page * k4) ~len:(pages * k4) in
+        (fun (op, alias, page, pages) ->
+          let base = (alias * alias_stride) + (page * k4) in
+          let r = Region.make ~base ~len:(pages * k4) in
           match op with
           | `Map ->
               Ept.map_region cached r;
@@ -133,11 +139,44 @@ let prop_cached_equals_uncached =
           | `Probe ->
               List.for_all
                 (fun i ->
-                  let addr = (page + i) * k4 in
+                  let addr = base + (i * k4) in
                   Ept.translate cached addr ~access:`Read
                   = Ept.translate plain addr ~access:`Read)
                 (List.init 80 Fun.id))
         ops)
+
+(* Directed aliasing: windows that share a walk-cache slot but resolve
+   differently — a 4K PT window, a read-only 2M leaf, a 1G leaf and an
+   unmapped window — translated round-robin, so every probe evicts the
+   previous window's entry.  Each answer must be the uncached one. *)
+let test_walk_cache_aliasing () =
+  let cached = Ept.create () in
+  let plain = Ept.create ~walk_cache:false () in
+  let both f = f cached; f plain in
+  both (fun e -> Ept.map_region e (Region.make ~base:0 ~len:(256 * k4)));
+  both (fun e ->
+      Ept.map_region e ~perms:Ept.ro
+        (Region.make ~base:alias_stride ~len:m2));
+  both (fun e ->
+      Ept.map_region e (Region.make ~base:(2 * alias_stride) ~len:(1024 * mib)));
+  let windows = [| 0; alias_stride; 2 * alias_stride; 3 * alias_stride |] in
+  let _, misses0 = Ept.walk_cache_stats cached in
+  for i = 0 to 1023 do
+    let addr = windows.(i land 3) + ((i lsr 2) * k4) + 8 in
+    List.iter
+      (fun access ->
+        if Ept.translate cached addr ~access <> Ept.translate plain addr ~access
+        then Alcotest.failf "aliased window 0x%x (%s) differs from the walk" addr
+            (match access with `Read -> "read" | `Write -> "write" | `Exec -> "exec"))
+      [ `Read; `Write ]
+  done;
+  let _, misses1 = Ept.walk_cache_stats cached in
+  Alcotest.(check bool) "the four windows evict each other" true
+    (misses1 - misses0 >= 1024);
+  Alcotest.(check (list (pair string int))) "leaf sizes differ"
+    [ ("4k", 256); ("2m", 1); ("1g", 1) ]
+    (let n4k, n2m, n1g = Ept.leaf_counts cached in
+     [ ("4k", n4k); ("2m", n2m); ("1g", n1g) ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -302,6 +341,28 @@ let test_charge_zero_alloc_obs_on () =
           Machine.charge_random m cpu ~ops:100 ~base:(32 * mib)
             ~working_set:(8 * mib) ~sharers:2 ~page_size:Addr.Page_2m))
 
+(* Every enclave launch builds two tables: the EPT Pisces prepares
+   before boot and the guest's direct map Kitten builds at boot.
+   Neither may allocate a major-heap block (the walk cache's arrays
+   are sized to stay minor-heap blocks) or force a minor collection.
+   Holds under either backend: sizes of fresh blocks do not depend on
+   float boxing. *)
+let test_table_create_minor_heap_only () =
+  let check name f =
+    Gc.minor ();
+    let _, _, major0 = Gc.counters () in
+    let collections0 = (Gc.quick_stat ()).Gc.minor_collections in
+    ignore (Sys.opaque_identity (f ()));
+    let _, _, major1 = Gc.counters () in
+    let collections1 = (Gc.quick_stat ()).Gc.minor_collections in
+    Alcotest.(check (float 0.0)) (name ^ ": major words") 0.0 (major1 -. major0);
+    Alcotest.(check int) (name ^ ": minor collections") 0
+      (collections1 - collections0)
+  in
+  check "Ept.create" (fun () -> Ept.create ());
+  check "Guest_pt.direct_map" (fun () ->
+      Guest_pt.direct_map ~total_mem:((4 * 1024 * mib) + (24 * mib)))
+
 (* The same contract must hold inside fleet shards, whatever the
    domain placement: each shard builds its own machine stack and
    measures its own warm path in its own domain. *)
@@ -420,6 +481,8 @@ let () =
           Alcotest.test_case "covers-memo invalidation" `Quick
             test_covers_memo_invalidation;
           prop_cached_equals_uncached;
+          Alcotest.test_case "walk-cache aliasing" `Quick
+            test_walk_cache_aliasing;
         ] );
       ( "charge memo",
         [
@@ -442,6 +505,8 @@ let () =
             test_charge_zero_alloc_obs_on;
           Alcotest.test_case "fleet shards, domains 1/2/7" `Quick
             test_fleet_sharded_zero_alloc;
+          Alcotest.test_case "table create, minor heap only" `Quick
+            test_table_create_minor_heap_only;
         ] );
       ( "warm-path regressions",
         [
