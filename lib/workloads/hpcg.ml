@@ -13,47 +13,89 @@ let default_nominal_dim = 104
 (* Real arithmetic: matrix-free 27-point stencil on a real_dim^3 grid. *)
 
 module Grid = struct
-  type t = { n : int; data : float array }
+  type t = {
+    n : int;
+    data : float array;
+    offsets : int array;  (* the 26 neighbours' index deltas, (dz, dy, dx) order *)
+  }
 
-  let create n = { n; data = Array.make (n * n * n) 0.0 }
+  let create n =
+    let offsets = Array.make 26 0 and k = ref 0 in
+    for dz = -1 to 1 do
+      for dy = -1 to 1 do
+        for dx = -1 to 1 do
+          if dx <> 0 || dy <> 0 || dz <> 0 then begin
+            offsets.(!k) <- (dz * n * n) + (dy * n) + dx;
+            incr k
+          end
+        done
+      done
+    done;
+    { n; data = Array.make (n * n * n) 0.0; offsets }
+
   let idx g x y z = (z * g.n * g.n) + (y * g.n) + x
 
-  let spmv ~a ~y =
-    (* y = A*x for the 27-point Laplacian: diag 26, neighbours -1. *)
+  (* One row of [spmv] at a boundary point: neighbours are tested
+     against the grid. *)
+  let boundary_point a out x yy z =
     let n = a.n in
+    let acc = ref (26.0 *. a.data.(idx a x yy z)) in
+    for dz = -1 to 1 do
+      for dy = -1 to 1 do
+        for dx = -1 to 1 do
+          if dx <> 0 || dy <> 0 || dz <> 0 then begin
+            let x' = x + dx and y' = yy + dy and z' = z + dz in
+            if x' >= 0 && x' < n && y' >= 0 && y' < n && z' >= 0 && z' < n then
+              acc := !acc -. a.data.(idx a x' y' z')
+          end
+        done
+      done
+    done;
+    out.(idx a x yy z) <- !acc
+
+  let spmv ~a ~y =
+    (* y = A*x for the 27-point Laplacian: diag 26, neighbours -1.
+       Interior points skip the bounds tests but subtract their
+       neighbours in the same (dz, dy, dx) order. *)
+    let n = a.n and d = a.data and out = y.data and off = a.offsets in
     for z = 0 to n - 1 do
       for yy = 0 to n - 1 do
-        for x = 0 to n - 1 do
-          let acc = ref (26.0 *. a.data.(idx a x yy z)) in
-          for dz = -1 to 1 do
-            for dy = -1 to 1 do
-              for dx = -1 to 1 do
-                if dx <> 0 || dy <> 0 || dz <> 0 then begin
-                  let x' = x + dx and y' = yy + dy and z' = z + dz in
-                  if
-                    x' >= 0 && x' < n && y' >= 0 && y' < n && z' >= 0 && z' < n
-                  then acc := !acc -. a.data.(idx a x' y' z')
-                end
-              done
-            done
+        if z > 0 && z < n - 1 && yy > 0 && yy < n - 1 then begin
+          boundary_point a out 0 yy z;
+          for c = idx a 1 yy z to idx a (n - 2) yy z do
+            let acc = ref (26.0 *. d.(c)) in
+            for k = 0 to 25 do
+              acc := !acc -. d.(c + off.(k))
+            done;
+            out.(c) <- !acc
           done;
-          y.data.(idx y x yy z) <- !acc
-        done
+          boundary_point a out (n - 1) yy z
+        end
+        else
+          for x = 0 to n - 1 do
+            boundary_point a out x yy z
+          done
       done
     done
 
   let dot a b =
     let acc = ref 0.0 in
-    Array.iteri (fun i v -> acc := !acc +. (v *. b.data.(i))) a.data;
+    for i = 0 to Array.length a.data - 1 do
+      acc := !acc +. (a.data.(i) *. b.data.(i))
+    done;
     !acc
 
   let axpy ~alpha ~x ~y =
     (* y <- y + alpha x *)
-    Array.iteri (fun i v -> y.data.(i) <- y.data.(i) +. (alpha *. v)) x.data
+    for i = 0 to Array.length x.data - 1 do
+      y.data.(i) <- y.data.(i) +. (alpha *. x.data.(i))
+    done
 
   let scale_add ~x ~beta ~p =
     (* p <- x + beta p *)
-    Array.iteri (fun i v -> p.data.(i) <- v +. (beta *. p.data.(i))) x.data
+    for i = 0 to Array.length x.data - 1 do
+      p.data.(i) <- x.data.(i) +. (beta *. p.data.(i))
+    done
 
   let copy ~src ~dst = Array.blit src.data 0 dst.data 0 (Array.length src.data)
 end
@@ -106,17 +148,33 @@ let charge_iteration ctxs ~matrices ~symgs_ws ~xvec ~rows =
    preserving the convergence structure). *)
 
 module Mg = struct
-  let smooth ~a ~b ~x ~sweeps =
+  (* The V-cycle's work grids, allocated once per solve. *)
+  type scratch = {
+    tmp : Grid.t;  (* fine-grid A*x *)
+    resid : Grid.t;  (* fine-grid residual *)
+    ctmp : Grid.t;  (* coarse-grid A*x *)
+    rc : Grid.t;  (* restricted residual *)
+    zc : Grid.t;  (* coarse correction *)
+  }
+
+  let scratch n =
+    let h = n / 2 in
+    {
+      tmp = Grid.create n;
+      resid = Grid.create n;
+      ctmp = Grid.create h;
+      rc = Grid.create h;
+      zc = Grid.create h;
+    }
+
+  let smooth ~tmp ~b ~x ~sweeps =
     (* weighted Jacobi on the 27-point operator: diag = 26 *)
-    let tmp = Grid.create a.Grid.n in
+    let xd = x.Grid.data and bd = b.Grid.data and td = tmp.Grid.data in
     for _ = 1 to sweeps do
       Grid.spmv ~a:x ~y:tmp;
-      Array.iteri
-        (fun i bx ->
-          x.Grid.data.(i) <-
-            x.Grid.data.(i) +. (0.6 /. 26.0 *. (bx -. tmp.Grid.data.(i))))
-        b.Grid.data;
-      ignore a
+      for i = 0 to Array.length bd - 1 do
+        xd.(i) <- xd.(i) +. (0.6 /. 26.0 *. (bd.(i) -. td.(i)))
+      done
     done
 
   let restrict ~fine ~coarse =
@@ -140,9 +198,9 @@ module Mg = struct
       for y = 0 to nf - 1 do
         for x = 0 to nf - 1 do
           let c =
-            coarse.Grid.data.(Grid.idx coarse (min (x / 2) (nc - 1))
-                                (min (y / 2) (nc - 1))
-                                (min (z / 2) (nc - 1)))
+            coarse.Grid.data.(Grid.idx coarse (Int.min (x / 2) (nc - 1))
+                                (Int.min (y / 2) (nc - 1))
+                                (Int.min (z / 2) (nc - 1)))
           in
           fine.Grid.data.(Grid.idx fine x y z) <-
             fine.Grid.data.(Grid.idx fine x y z) +. c
@@ -151,24 +209,23 @@ module Mg = struct
     done
 
   (* One V-cycle applying M^-1 to [r], result in [z]. *)
-  let v_cycle ~r ~z =
+  let v_cycle ws ~r ~z =
     let n = r.Grid.n in
     Array.fill z.Grid.data 0 (Array.length z.Grid.data) 0.0;
-    smooth ~a:z ~b:r ~x:z ~sweeps:1;
+    smooth ~tmp:ws.tmp ~b:r ~x:z ~sweeps:1;
     if n mod 2 = 0 && n >= 8 then begin
       (* coarse correction *)
-      let resid = Grid.create n in
-      Grid.spmv ~a:z ~y:resid;
-      Array.iteri
-        (fun i rv -> resid.Grid.data.(i) <- rv -. resid.Grid.data.(i))
-        r.Grid.data;
-      let rc = Grid.create (n / 2) in
-      restrict ~fine:resid ~coarse:rc;
-      let zc = Grid.create (n / 2) in
-      smooth ~a:zc ~b:rc ~x:zc ~sweeps:2;
-      prolong ~coarse:zc ~fine:z
+      let resid = ws.resid.Grid.data and rd = r.Grid.data in
+      Grid.spmv ~a:z ~y:ws.resid;
+      for i = 0 to Array.length rd - 1 do
+        resid.(i) <- rd.(i) -. resid.(i)
+      done;
+      restrict ~fine:ws.resid ~coarse:ws.rc;
+      Array.fill ws.zc.Grid.data 0 (Array.length ws.zc.Grid.data) 0.0;
+      smooth ~tmp:ws.ctmp ~b:ws.rc ~x:ws.zc ~sweeps:2;
+      prolong ~coarse:ws.zc ~fine:z
     end;
-    smooth ~a:z ~b:r ~x:z ~sweeps:1
+    smooth ~tmp:ws.tmp ~b:r ~x:z ~sweeps:1
 end
 
 let run ctxs ?(nominal_dim = default_nominal_dim) ?(real_dim = 20)
@@ -206,7 +263,8 @@ let run ctxs ?(nominal_dim = default_nominal_dim) ?(real_dim = 20)
           Grid.copy ~src:b ~dst:p;
           (* preconditioned CG: z = M^-1 r via one MG V-cycle *)
           let z = Grid.create n in
-          Mg.v_cycle ~r ~z;
+          let ws = Mg.scratch n in
+          Mg.v_cycle ws ~r ~z;
           Grid.copy ~src:z ~dst:p;
           let rz = ref (Grid.dot r z) in
           let r0 = sqrt (Grid.dot r r) in
@@ -224,7 +282,7 @@ let run ctxs ?(nominal_dim = default_nominal_dim) ?(real_dim = 20)
                let alpha = !rz /. pap in
                Grid.axpy ~alpha ~x:p ~y:x;
                Grid.axpy ~alpha:(-.alpha) ~x:ap ~y:r;
-               Mg.v_cycle ~r ~z;
+               Mg.v_cycle ws ~r ~z;
                let rz' = Grid.dot r z in
                let beta = rz' /. !rz in
                rz := rz';
