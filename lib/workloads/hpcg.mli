@@ -36,4 +36,6 @@ val run :
   unit ->
   (result, string) Stdlib.result
 (** [real_dim] (default 20) sizes the grid the arithmetic actually
-    runs on; [iterations] defaults to 50 CG steps. *)
+    runs on; [iterations] defaults to 50 CG steps.  A CG iteration of
+    that arithmetic allocates nothing: the V-cycle's work grids are made
+    once per solve. *)
