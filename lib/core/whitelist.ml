@@ -8,8 +8,18 @@ type t = {
 
 let create ~enclave_cores = { enclave_cores; allowed = []; dropped = 0 }
 
+(* Monomorphic scans: the ICR-exit check runs on every cross-core IPI
+   and allocates nothing (no probe tuple, no polymorphic compare). *)
+let rec has_core (dest : int) = function
+  | [] -> false
+  | c :: rest -> c = dest || has_core dest rest
+
+let rec has_grant (vector : int) (dest : int) = function
+  | [] -> false
+  | (v, d) :: rest -> (v = vector && d = dest) || has_grant vector dest rest
+
 let grant t ~vector ~dest =
-  if not (List.mem (vector, dest) t.allowed) then
+  if not (has_grant vector dest t.allowed) then
     t.allowed <- (vector, dest) :: t.allowed
 
 (* [dest] narrows the revocation to one (vector, dest) grant; without
@@ -26,9 +36,9 @@ let clear t = t.allowed <- []
 
 let permits t ~icr =
   let { Apic.dest; vector; kind } = icr in
-  let internal = List.mem dest t.enclave_cores in
+  let internal = has_core dest t.enclave_cores in
   match kind with
-  | Apic.Fixed -> internal || List.mem (vector, dest) t.allowed
+  | Apic.Fixed -> internal || has_grant vector dest t.allowed
   | Apic.Nmi | Apic.Init | Apic.Startup ->
       (* Reset-class and NMI IPIs never leave the enclave. *)
       internal

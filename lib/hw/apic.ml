@@ -55,15 +55,13 @@ let pir_post t ~vector =
   check_vector vector;
   t.pir.(vector) <- true
 
-let pir_drain t =
-  let acc = ref [] in
-  for v = 255 downto 0 do
+let pir_sync t =
+  for v = 0 to 255 do
     if t.pir.(v) then begin
       t.pir.(v) <- false;
-      acc := v :: !acc
+      t.irr.(v) <- true
     end
-  done;
-  !acc
+  done
 
 let pir_outstanding t = Array.exists Fun.id t.pir
 

@@ -36,9 +36,11 @@ val pending_vectors : t -> int list
 (* Posted-interrupt descriptor. *)
 
 val pir_post : t -> vector:int -> unit
-val pir_drain : t -> int list
-(** Atomically collect-and-clear posted vectors (what the hardware
-    does at VM entry / notification). *)
+val pir_sync : t -> unit
+(** Move every posted vector into the IRR and clear the PIR, in place
+    (what the hardware does at VM entry / notification).  Each vector
+    only sets its own IRR bit, so the order is immaterial; allocates
+    nothing. *)
 
 val pir_outstanding : t -> bool
 
