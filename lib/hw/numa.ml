@@ -29,7 +29,14 @@ let zone_range t z =
   if z < 0 || z >= t.zones then invalid_arg "Numa.zone_range";
   Region.make ~base:(z * t.mem_per_zone) ~len:t.mem_per_zone
 
-let is_local t ~core ~addr = zone_of_core t ~core = zone_of_addr t addr
+(* [zone_of_addr t a = zone] without the division. *)
+let addr_in_zone t ~zone a =
+  if zone < 0 || zone >= t.zones then invalid_arg "Numa.addr_in_zone";
+  if a < 0 then invalid_arg "Numa.zone_of_addr";
+  let lo = zone * t.mem_per_zone in
+  a >= lo && (zone = t.zones - 1 || a < lo + t.mem_per_zone)
+
+let is_local t ~core ~addr = addr_in_zone t ~zone:(zone_of_core t ~core) addr
 
 let pp ppf t =
   Format.fprintf ppf "%d zones x (%d cores, %a)" t.zones t.cores_per_zone

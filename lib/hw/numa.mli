@@ -27,5 +27,10 @@ val zone_of_addr : t -> Addr.t -> zone
 
 val cores_of_zone : t -> zone -> int list
 val zone_range : t -> zone -> Region.t
+val addr_in_zone : t -> zone:zone -> Addr.t -> bool
+(** [addr_in_zone t ~zone a] is [zone_of_addr t a = zone], computed
+    without a division (the granular access path asks it per word).
+    [zone] must be one of the topology's zones. *)
+
 val is_local : t -> core:int -> addr:Addr.t -> bool
 val pp : Format.formatter -> t -> unit
