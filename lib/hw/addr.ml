@@ -27,7 +27,7 @@ let pp_page_size ppf ps =
   Format.pp_print_string ppf
     (match ps with Page_4k -> "4K" | Page_2m -> "2M" | Page_1g -> "1G")
 
-let check_pow2 size =
+let[@inline] check_pow2 size =
   assert (size > 0 && size land (size - 1) = 0)
 
 let page_down a ~size =
@@ -42,7 +42,9 @@ let is_aligned a ~size =
   check_pow2 size;
   a land (size - 1) = 0
 
-let pfn a ~size =
+(* Inlined (with [check_pow2]) so that a constant [size], as on the TLB
+   probe, divides by a shift rather than an integer division. *)
+let[@inline] pfn a ~size =
   check_pow2 size;
   a / size
 
