@@ -7,16 +7,7 @@ type reject =
   | Boot_limit of { in_flight : int; limit : int }
   | Rate_limited of { tenant : int; tokens_milli : int }
 
-let pp_reject ppf = function
-  | Boot_limit { in_flight; limit } ->
-      Format.fprintf ppf "boot-limit (in-flight %d of %d)" in_flight limit
-  | Rate_limited { tenant; tokens_milli } ->
-      Format.fprintf ppf "rate-limited (tenant %d, %d.%03d tokens)" tenant
-        (tokens_milli / 1000) (tokens_milli mod 1000)
-
-type token = { tok_tenant : int; mutable settled : bool }
-
-let token_tenant tok = tok.tok_tenant
+type token = { mutable settled : bool }
 
 type bucket = { mutable level_milli : int; mutable last : int }
 
@@ -103,7 +94,7 @@ let admit_boot t ~tenant ~now =
         t.in_flight <- t.in_flight + 1;
         if t.in_flight > t.peak then t.peak <- t.in_flight;
         t.admitted <- t.admitted + 1;
-        Ok { tok_tenant = tenant; settled = false }
+        Ok { settled = false }
 
 let settle t tok =
   if not tok.settled then begin
@@ -111,7 +102,6 @@ let settle t tok =
     t.in_flight <- t.in_flight - 1
   end
 
-let forget_tenant t ~tenant = Hashtbl.remove t.buckets tenant
 let in_flight t = t.in_flight
 let peak_in_flight t = t.peak
 let max_in_flight t = t.limit

@@ -24,10 +24,9 @@
     latencies — of its neighbours.  All state is integer; equal call
     sequences yield equal decisions, bit for bit.
 
-    Destroy-time hygiene: buckets are per-tenant state — call
-    {!forget_tenant} when a tenant is retired for good, or the table
-    grows monotonically under churn (the same leak class the dense
-    soak's quiesce check hunts). *)
+    Buckets are per-tenant state, one per tenant ever admitted, so the
+    table is bounded by the tenant population (loadgen's leak
+    audit asserts that bound). *)
 
 type reject =
   | Boot_limit of { in_flight : int; limit : int }
@@ -36,12 +35,8 @@ type reject =
       (** the tenant's bucket is empty; [tokens_milli] is the residual
           level in thousandths of a token *)
 
-val pp_reject : Format.formatter -> reject -> unit
-
 type token
 (** Proof of an admitted boot; hand it back with {!settle}. *)
-
-val token_tenant : token -> int
 
 type t
 
@@ -63,9 +58,6 @@ val admit_boot : t -> tenant:int -> now:int -> (token, reject) result
 val settle : t -> token -> unit
 (** The boot completed (or its enclave died): release its in-flight
     slot.  Idempotent per token. *)
-
-val forget_tenant : t -> tenant:int -> unit
-(** Drop the tenant's bucket (retired tenant; churn hygiene). *)
 
 (** {2 Introspection} *)
 

@@ -10,12 +10,11 @@ type command =
 type queue = {
   ring : command Queue.t;
   mutable enqueued : int;
-  mutable processed : int;
 }
 
 let slots = 64
 
-let create_queue () = { ring = Queue.create (); enqueued = 0; processed = 0 }
+let create_queue () = { ring = Queue.create (); enqueued = 0 }
 
 let enqueue q cmd =
   if Queue.length q.ring >= slots then Error "command queue full"
@@ -28,8 +27,6 @@ let enqueue q cmd =
 let dequeue q = Queue.take_opt q.ring
 let pending q = Queue.length q.ring
 let enqueued_total q = q.enqueued
-let processed_total q = q.processed
-let note_processed q = q.processed <- q.processed + 1
 
 let pp_command ppf = function
   | Flush_tlb r -> Format.fprintf ppf "flush-tlb %a" Region.pp r

@@ -32,6 +32,4 @@ val enqueue : queue -> command -> (unit, string) result
 val dequeue : queue -> command option
 val pending : queue -> int
 val enqueued_total : queue -> int
-val processed_total : queue -> int
-val note_processed : queue -> unit
 val pp_command : Format.formatter -> command -> unit

@@ -9,14 +9,6 @@ type t = {
   msr : bool;
   io : bool;
   max_ept_page : Addr.page_size;
-  restart_budget : int;
-  backoff_base : int;
-  backoff_factor : int;
-  backoff_cap : int;
-  stability_window : int;
-  watchdog_deadline : int;
-  observe : bool;
-  trace_spans : bool;
   sanitize : bool;
 }
 
@@ -28,20 +20,8 @@ let native =
     msr = false;
     io = false;
     max_ept_page = Addr.Page_1g;
-    (* Supervision defaults: a handful of restarts with exponential
-       backoff starting at 100k cycles (~40 µs at 2.4 GHz) capped at
-       ~10 ms, and a watchdog deadline of 5M cycles of silence. *)
-    restart_budget = 5;
-    backoff_base = 100_000;
-    backoff_factor = 2;
-    backoff_cap = 25_000_000;
-    stability_window = 50_000_000;
-    watchdog_deadline = 5_000_000;
-    (* Observability is opt-in: the disabled path must stay a single
-       branch per instrumentation site. *)
-    observe = false;
-    trace_spans = false;
-    (* The shadow sanitizer follows the same opt-in contract. *)
+    (* The shadow sanitizer is opt-in: the disabled path must stay a
+       single branch per tap site. *)
     sanitize = false;
   }
 

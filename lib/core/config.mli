@@ -4,8 +4,11 @@
     protection that allows runtime configuration of hypervisor
     protection features" — should a feature cost too much for a given
     workload, the operator disables it at enclave initialization.
-    These records are those switches; the five presets are the
-    configurations the paper's evaluation sweeps. *)
+    These records are those switches, plus the opt-in shadow
+    sanitizer; the five presets are the configurations the paper's
+    evaluation sweeps.  Observability is not a config knob: it is
+    switched on process-wide by [Covirt_obs.enable] (metrics and
+    profiler) and [Covirt_obs.Exporter.enable] (span export). *)
 
 open Covirt_hw
 
@@ -23,37 +26,13 @@ type t = {
   max_ept_page : Addr.page_size;
       (** coalescing cap; [Page_1g] normally, [Page_4k] for the
           ablation *)
-  (* Supervision knobs, consumed by [Covirt_resilience.Supervisor] and
-     [Covirt_resilience.Watchdog]; they have no effect on the
-     protection features themselves. *)
-  restart_budget : int;
-      (** restarts a crashing enclave may consume before the circuit
-          breaker quarantines it permanently *)
-  backoff_base : int;  (** first relaunch delay, in simulated cycles *)
-  backoff_factor : int;  (** exponential backoff multiplier *)
-  backoff_cap : int;  (** upper bound on any single backoff delay *)
-  stability_window : int;
-      (** cycles an enclave must stay healthy after a relaunch before
-          its consumed-restart counter resets (anti-flapping) *)
-  watchdog_deadline : int;
-      (** cycles of no VM exits and no control-channel traffic before
-          the watchdog declares the enclave wedged *)
-  observe : bool;
-      (** enable the [Covirt_obs] metrics registry + profiler when a
-          controller attaches with this config.  Enable-only: a later
-          attach with [observe = false] does not switch recording back
-          off.  Recording is pure measurement — it never charges
-          simulated cycles, so results stay bit-identical. *)
-  trace_spans : bool;
-      (** additionally collect Chrome-trace spans ([Covirt_obs.Span])
-          for every VM exit and fault event; export with
-          [covirt-ctl stats --trace-out] or [bench --trace-out] *)
   sanitize : bool;
       (** arm the shadow isolation sanitizer
           ([Covirt_hw.Sanitize] / [Covirt_analysis.Shadow]) when a
-          controller attaches with this config.  Same contract as
-          [observe]: enable-only, zero simulated-cycle cost, golden
-          transcript stays byte-identical. *)
+          controller attaches with this config.  Enable-only: a later
+          attach with [sanitize = false] does not disarm it.  Zero
+          simulated-cycle cost, so the golden transcript stays
+          byte-identical. *)
 }
 
 val native : t

@@ -37,7 +37,6 @@ type t = {
 }
 
 let pisces t = t.pisces
-let default_config t = t.default_config
 let instances t = List.map snd t.instances
 
 let instance_for t ~enclave_id = List.assoc_opt enclave_id t.instances
@@ -320,13 +319,9 @@ let on_destroyed t enclave =
 (* ------------------------------------------------------------------ *)
 
 let attach pisces ~config =
-  (* Observability knobs are enable-only: one instrumented controller
-     turns recording on, and a later plain attach cannot silence it. *)
+  (* The sanitizer switch is enable-only: one armed controller turns it
+     on, and a later plain attach cannot silence it. *)
   if config.Config.sanitize then Sanitize.request ();
-  if config.Config.observe || config.Config.trace_spans then
-    Covirt_obs.configure
-      ~cycles_per_us:((Pisces.machine pisces).Machine.model.Cost_model.ghz *. 1000.)
-      ~observe:config.Config.observe ~trace_spans:config.Config.trace_spans ();
   let t =
     {
       pisces;

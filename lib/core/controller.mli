@@ -56,7 +56,6 @@ val record_report : t -> Fault_report.t -> unit
     subscribers. *)
 
 val pisces : t -> Pisces.t
-val default_config : t -> Config.t
 val instances : t -> instance list
 val instance_for : t -> enclave_id:int -> instance option
 val reports_for : t -> enclave_id:int -> Fault_report.t list

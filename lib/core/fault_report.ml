@@ -15,9 +15,6 @@ type t = {
   kind : kind;
   fatal : bool;
   detail : string Lazy.t;
-      (** rendered on demand — dropped-event paths (ICR drops,
-          suppressed port reads) never pay the formatting unless a
-          consumer actually reads it *)
 }
 
 let kind_name = function
@@ -29,14 +26,6 @@ let kind_name = function
   | Queue_stall -> "queue-stall"
   | Watchdog_timeout -> "watchdog-timeout"
   | Sanitizer -> "sanitizer"
-
-let severity t =
-  if t.fatal then Covirt_sim.Trace.Error else Covirt_sim.Trace.Warn
-
-let rendered_detail t ~trace =
-  if Covirt_sim.Trace.would_record trace ~severity:(severity t) then
-    Lazy.force t.detail
-  else kind_name t.kind
 
 let pp ppf t =
   Format.fprintf ppf "[tsc %d] enclave %d cpu %d %s%s: %s" t.tsc t.enclave

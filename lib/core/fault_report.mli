@@ -29,25 +29,12 @@ type t = {
   kind : kind;
   fatal : bool;  (** true when the enclave was terminated *)
   detail : string Lazy.t;
-      (** human-readable cause, rendered on demand: the hot dropped
-          paths (errant ICR writes, suppressed port reads) build the
-          thunk without formatting, so enforcement stays cheap unless
-          someone actually reads the report *)
+      (** human-readable cause; the hypervisor forces it when it
+          writes the report into the machine trace *)
 }
 
 val kind_name : kind -> string
 (** Stable short name of the report kind (["memory-violation"], ...). *)
 
-val severity : t -> Covirt_sim.Trace.severity
-(** The trace severity a report renders at: [Error] when fatal, [Warn]
-    for dropped operations. *)
-
-val rendered_detail : t -> trace:Covirt_sim.Trace.t -> string
-(** [rendered_detail t ~trace] forces {!field-detail} only if [trace]
-    would record an event at {!severity} — the check every diagnostic
-    consumer must route through, so severity-filtered events keep their
-    laziness.  Below the threshold it returns {!kind_name} instead. *)
-
 val pp : Format.formatter -> t -> unit
-(** Full rendering; forces [detail] unconditionally (use
-    {!rendered_detail} on paths that may be severity-filtered). *)
+(** Full rendering; forces [detail]. *)

@@ -11,7 +11,6 @@ type t = {
   report : Fault_report.t -> unit;
   queue : Command.queue;
   mutable flushes : int;
-  mutable emulations : int;
 }
 
 let create ~machine ~cpu ~vmcs ~boot_params ~whitelist ~config ~report =
@@ -25,28 +24,23 @@ let create ~machine ~cpu ~vmcs ~boot_params ~whitelist ~config ~report =
     report;
     queue = Command.create_queue ();
     flushes = 0;
-    emulations = 0;
   }
 
 let queue t = t.queue
 let cpu t = t.cpu
 let vmcs t = t.vmcs
 let flushes t = t.flushes
-let emulations t = t.emulations
 
 let make_report t ~kind ~fatal detail =
   (* the master control process's debugging record: every enforcement
      event also lands in the machine trace ("provided the ability to
-     collect debugging traces when it did occur") — but the detail
-     string only gets rendered if the trace sink would keep it *)
-  let trace = t.machine.Machine.trace in
+     collect debugging traces when it did occur") *)
   let severity =
     if fatal then Covirt_sim.Trace.Error else Covirt_sim.Trace.Warn
   in
-  if Covirt_sim.Trace.would_record trace ~severity then
-    Covirt_sim.Trace.recordf trace ~tsc:(Cpu.rdtsc t.cpu) ~cpu:t.cpu.Cpu.id
-      ~severity "covirt %s: %s" (Fault_report.kind_name kind)
-      (Lazy.force detail);
+  Covirt_sim.Trace.recordf t.machine.Machine.trace ~tsc:(Cpu.rdtsc t.cpu)
+    ~cpu:t.cpu.Cpu.id ~severity "covirt %s: %s" (Fault_report.kind_name kind)
+    (Lazy.force detail);
   {
     Fault_report.enclave = t.vmcs.Vmcs.enclave;
     cpu = t.cpu.Cpu.id;
@@ -83,7 +77,6 @@ let drain_queue t =
     match Command.dequeue t.queue with
     | None -> killed
     | Some cmd ->
-        Command.note_processed t.queue;
         let killed =
           match cmd with
           | Command.Flush_tlb region ->
@@ -149,7 +142,6 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
       end
       else begin
         (* Protected reads are emulated from the live register file. *)
-        t.emulations <- t.emulations + 1;
         if !Covirt_obs.Metrics.on then obs_incr t m_emul "msr-read";
         Cpu.charge t.cpu emulate_cost;
         Vmcs.Resume
@@ -170,7 +162,6 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
         Vmcs.Skip
       end
   | Vmcs.Cpuid | Vmcs.Xsetbv ->
-      t.emulations <- t.emulations + 1;
       if !Covirt_obs.Metrics.on then
         obs_incr t m_emul (if reason = Vmcs.Cpuid then "cpuid" else "xsetbv");
       Cpu.charge t.cpu emulate_cost;
@@ -178,7 +169,6 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
   | Vmcs.Hlt ->
       (* Emulated halt: the core idles until the next event; nothing
          to charge beyond the exit itself. *)
-      t.emulations <- t.emulations + 1;
       Vmcs.Resume
   | Vmcs.External_interrupt _ ->
       (* Re-inject into the guest (cost charged by the machine). *)

@@ -34,6 +34,3 @@ val cpu : t -> Cpu.t
 val vmcs : t -> Vmcs.t
 val flushes : t -> int
 (** TLB flushes performed on behalf of controller commands. *)
-
-val emulations : t -> int
-(** cpuid/xsetbv/hlt emulation count. *)

@@ -20,12 +20,6 @@ type layout = {
 val layout_1x1 : layout
 (** 1 core, 1 NUMA zone, 14 GB local. *)
 
-val layout_4x2 : layout
-(** 4 cores split across 2 zones, memory split evenly. *)
-
-val layout_4x1 : layout
-(** 4 cores in one zone. *)
-
 val layout_8x2 : layout
 (** 8 cores split across 2 zones. *)
 

@@ -23,10 +23,6 @@ let page_size_of_code = function
   | 2 -> Page_1g
   | c -> invalid_arg (Printf.sprintf "Addr.page_size_of_code: %d" c)
 
-let pp_page_size ppf ps =
-  Format.pp_print_string ppf
-    (match ps with Page_4k -> "4K" | Page_2m -> "2M" | Page_1g -> "1G")
-
 let[@inline] check_pow2 size =
   assert (size > 0 && size land (size - 1) = 0)
 

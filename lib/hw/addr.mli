@@ -14,7 +14,6 @@ val page_size_1g : int
 type page_size = Page_4k | Page_2m | Page_1g
 
 val bytes_of_page_size : page_size -> int
-val pp_page_size : Format.formatter -> page_size -> unit
 
 val page_size_code : page_size -> int
 (** Immediate integer code: [Page_4k -> 0], [Page_2m -> 1],

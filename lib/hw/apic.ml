@@ -3,7 +3,6 @@ type ipi_kind = Fixed | Nmi | Init | Startup
 type icr = { dest : int; vector : int; kind : ipi_kind }
 
 type t = {
-  apic_id : int;
   irr : bool array; (* 256 vectors *)
   pir : bool array;
   mutable nmi_pending : bool;
@@ -11,17 +10,14 @@ type t = {
   mutable sent : int;
 }
 
-let create ~apic_id =
+let create () =
   {
-    apic_id;
     irr = Array.make 256 false;
     pir = Array.make 256 false;
     nmi_pending = false;
     timer_hz = 0.0;
     sent = 0;
   }
-
-let apic_id t = t.apic_id
 
 let check_vector vector =
   if vector < 0 || vector > 255 then invalid_arg "Apic: bad vector"
@@ -30,19 +26,15 @@ let raise_irr t ~vector =
   check_vector vector;
   t.irr.(vector) <- true
 
+(* Highest raised vector at or below [v], or -1.  A module-level loop
+   over an int result, so acknowledging an interrupt allocates nothing. *)
+let rec highest_raised irr v =
+  if v < 0 || irr.(v) then v else highest_raised irr (v - 1)
+
 let ack_highest t =
-  let rec scan v = if v < 0 then None else if t.irr.(v) then Some v else scan (v - 1) in
-  match scan 255 with
-  | None -> None
-  | Some v ->
-      t.irr.(v) <- false;
-      Some v
-
-let irr_pending t ~vector =
-  check_vector vector;
-  t.irr.(vector)
-
-let pending_count t = Array.fold_left (fun n b -> if b then n + 1 else n) 0 t.irr
+  let v = highest_raised t.irr 255 in
+  if v >= 0 then t.irr.(v) <- false;
+  v
 
 let pending_vectors t =
   let acc = ref [] in

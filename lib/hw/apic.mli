@@ -14,8 +14,7 @@ type icr = { dest : int; vector : int; kind : ipi_kind }
 
 type t
 
-val create : apic_id:int -> t
-val apic_id : t -> int
+val create : unit -> t
 
 (* Interrupt request register. *)
 
@@ -23,11 +22,9 @@ val raise_irr : t -> vector:int -> unit
 (** Latch a pending interrupt.  Vectors 0-255; [Invalid_argument]
     outside. *)
 
-val ack_highest : t -> int option
-(** Pop the highest-priority pending vector, or [None]. *)
-
-val irr_pending : t -> vector:int -> bool
-val pending_count : t -> int
+val ack_highest : t -> int
+(** Pop the highest-priority pending vector, or [-1] when none is
+    pending.  Allocates nothing. *)
 
 val pending_vectors : t -> int list
 (** Every vector currently raised in the IRR, ascending — lets the

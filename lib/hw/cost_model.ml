@@ -92,7 +92,6 @@ let tlb_geometry ~entries =
   let rec pow2_floor p = if p * 2 <= target then pow2_floor (p * 2) else p in
   (pow2_floor 1, ways)
 
-let dram t ~local = if local then t.dram_local else t.dram_remote
 let stream_line t ~local = if local then t.stream_line_local else t.stream_line_remote
 
 let tlb_reach t ~page_size =

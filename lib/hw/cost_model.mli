@@ -77,7 +77,6 @@ type t = {
 val default : t
 (** Broadwell-ish defaults at 1.7 GHz. *)
 
-val dram : t -> local:bool -> int
 val stream_line : t -> local:bool -> int
 
 val tlb_geometry : entries:int -> int * int

@@ -18,7 +18,7 @@ let create ~id ~zone ~model ~rng =
   {
     id;
     zone;
-    apic = Apic.create ~apic_id:id;
+    apic = Apic.create ();
     tlb = Tlb.create ~model ~rng;
     tsc = 0;
     mode = Host_mode;

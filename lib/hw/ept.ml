@@ -542,11 +542,6 @@ let regions t = t.index
 let leaf_counts t = (t.n4k, t.n2m, t.n1g)
 let entry_writes t = t.writes
 
-let walk_levels = function
-  | Addr.Page_1g -> 2
-  | Addr.Page_2m -> 3
-  | Addr.Page_4k -> 4
-
 let pp ppf t =
   let n4k, n2m, n1g = leaf_counts t in
   Format.fprintf ppf "EPT{%a; leaves 4K=%d 2M=%d 1G=%d}" Region.Set.pp t.index

@@ -102,22 +102,17 @@ val unmap_region : t -> Region.t -> unit
 val translate : t -> Addr.t -> access:[ `Read | `Write | `Exec ] ->
   (Addr.page_size, violation) result
 (** Hardware-walk one address: the leaf's page size on success (the
-    caller derives walk depth via {!walk_levels}), a {!violation}
+    caller derives walk depth from it), a {!violation}
     otherwise.  Allocates the [result] wrapper; hot callers use
     {!translate_code} instead. *)
 
 val translate_code : t -> Addr.t -> access:[ `Read | `Write | `Exec ] -> int
 (** The allocation-free walk: [Addr.page_size_code] of the leaf on
-    success (non-negative), {!not_mapped_code} or {!perm_denied_code}
-    on failure.  Identical walk, cache and observability behaviour to
-    {!translate} — a warm call (walk-cache hit) performs zero minor
-    allocation, asserted by the bench allocation gate. *)
-
-val not_mapped_code : int
-(** [-1]: {!translate_code}'s "no translation at all". *)
-
-val perm_denied_code : int
-(** [-2]: {!translate_code}'s "translation without the permission". *)
+    success (non-negative), [-1] (no translation at all) or [-2]
+    (translation without the permission) on failure.  Identical walk,
+    cache and observability behaviour to {!translate} — a warm call
+    (walk-cache hit) performs zero minor allocation, asserted by the
+    bench allocation gate. *)
 
 val violation_of_code :
   int -> Addr.t -> access:[ `Read | `Write | `Exec ] -> violation
@@ -149,10 +144,6 @@ val leaf_counts : t -> int * int * int
 val entry_writes : t -> int
 (** Total leaf installs+removals performed; the controller charges
     [Cost_model.ept_entry_update] per write. *)
-
-val walk_levels : Addr.page_size -> int
-(** Levels touched by a hardware walk ending at a leaf of this size:
-    1G leaf -> 2, 2M -> 3, 4K -> 4. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: the mapped region set and per-size leaf counts. *)

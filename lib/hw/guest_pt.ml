@@ -10,7 +10,6 @@ let translate t addr =
   | Error _ -> Error addr
 
 let maps t addr = Result.is_ok (translate t addr)
-let mapped t = Ept.regions t
 let leaf_counts t = Ept.leaf_counts t
 
 let direct_map ~total_mem =

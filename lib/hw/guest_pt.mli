@@ -20,7 +20,6 @@ val translate : t -> Addr.t -> (Addr.page_size, Addr.t) result
 (** [Error gva] is a page fault at that address. *)
 
 val maps : t -> Addr.t -> bool
-val mapped : t -> Region.Set.t
 val leaf_counts : t -> int * int * int
 
 val direct_map : total_mem:int -> t

@@ -6,7 +6,6 @@ let serial_com1 = 0x3f8
 let reset_port = 0xcf9
 
 let create () = Hashtbl.create 16
-let read t port = Option.value ~default:0 (Hashtbl.find_opt t port)
 let write t port v = Hashtbl.replace t port (v land 0xff)
 
 module Bitmap = struct

@@ -7,7 +7,6 @@
 
 type t
 
-val pic_master_cmd : int
 val pit_channel0 : int
 val serial_com1 : int
 val reset_port : int
@@ -15,7 +14,6 @@ val reset_port : int
     catastrophic port fault. *)
 
 val create : unit -> t
-val read : t -> int -> int
 val write : t -> int -> int -> unit
 
 module Bitmap : sig
@@ -23,7 +21,6 @@ module Bitmap : sig
 
   val create : unit -> t
   val protect : t -> int -> unit
-  val protect_range : t -> lo:int -> hi:int -> unit
   val is_protected : t -> int -> bool
   val default_sensitive : unit -> t
   (** PIC, PIT and reset ports. *)

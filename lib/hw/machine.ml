@@ -289,8 +289,6 @@ let set_background_streamers t ~zone n =
   t.background_streamers_by_zone.(zone) <- n;
   t.bg_gen <- t.bg_gen + 1
 
-let background_streamers t ~zone = t.background_streamers_by_zone.(zone)
-
 let contention_factor t ~zone ~sharers =
   let contenders = sharers + t.background_streamers_by_zone.(zone) in
   Float.max 1.0
@@ -465,22 +463,6 @@ let wrmsr t (cpu : Cpu.t) msr value =
              cpu.Cpu.owner msr)
       else Msr.write t.msrs msr value
 
-let inb t (cpu : Cpu.t) port =
-  match cpu.Cpu.mode with
-  | Cpu.Guest_mode vmcs
-    when (match vmcs.Vmcs.controls.Vmcs.io_bitmap with
-         | Some bm -> Io_port.Bitmap.is_protected bm port
-         | None -> false) -> (
-      match
-        Vmx.deliver_exit ~model:t.model cpu vmcs
-          (Vmcs.Io_access { port; write = false; value = 0 })
-      with
-      | `Resume -> Io_port.read t.ports port
-      | `Skip -> 0)
-  | Cpu.Guest_mode _ | Cpu.Host_mode ->
-      Cpu.charge cpu 200;
-      Io_port.read t.ports port
-
 let outb t (cpu : Cpu.t) port value =
   match cpu.Cpu.mode with
   | Cpu.Guest_mode vmcs
@@ -540,13 +522,10 @@ let raise_abort t (cpu : Cpu.t) ~what =
 (* Interrupts.                                                         *)
 
 let dispatch_vector t (dest : Cpu.t) =
-  match Apic.ack_highest dest.Cpu.apic with
-  | None -> ()
-  | Some vector -> (
-      ignore t;
-      match dest.Cpu.isr with
-      | Some isr -> isr dest vector
-      | None -> ())
+  ignore t;
+  let vector = Apic.ack_highest dest.Cpu.apic in
+  if vector >= 0 then
+    match dest.Cpu.isr with Some isr -> isr dest vector | None -> ()
 
 let handle_nmi t (dest : Cpu.t) =
   Cpu.charge dest t.model.Cost_model.nmi_roundtrip;

@@ -105,8 +105,6 @@ val set_background_streamers : t -> zone:Numa.zone -> int -> unit
     [sharers].  The partitioning story this makes measurable: pressure
     in the {e other} zone costs an enclave nothing. *)
 
-val background_streamers : t -> zone:Numa.zone -> int
-
 val translation_extra_per_miss : t -> Cpu.t -> probe:Addr.t -> float
 (** Per-TLB-miss translation cycles beyond the native walk, as decided
     by the core's current mode and VMCS controls (guest tax, EPT walk
@@ -123,7 +121,6 @@ val check_range :
 
 val rdmsr : t -> Cpu.t -> int -> int64
 val wrmsr : t -> Cpu.t -> int -> int64 -> unit
-val inb : t -> Cpu.t -> int -> int
 val outb : t -> Cpu.t -> int -> int -> unit
 val cpuid : t -> Cpu.t -> unit
 val xsetbv : t -> Cpu.t -> unit

@@ -11,7 +11,6 @@ type t
 val ia32_apic_base : int
 val ia32_efer : int
 val ia32_pat : int
-val ia32_tsc_deadline : int
 val ia32_smm_monitor_ctl : int
 (** Writing this from a co-kernel is the canonical "sensitive MSR"
     fault in our injection suite. *)

@@ -7,7 +7,6 @@ type t = {
 }
 
 let doorbell_offset = 0x0
-let msi_vector_offset = 0x10
 let bar_bytes = 64 * 1024
 
 let create machine ~name =

@@ -15,7 +15,6 @@
 type t
 
 val doorbell_offset : int
-val msi_vector_offset : int
 
 val create : Machine.t -> name:string -> t
 (** Registers the MMIO window with the machine's physical memory map

@@ -183,12 +183,6 @@ let owns t owner r =
     t.assignments
   = page_starts ~base ~limit base limit
 
-let owned_by t owner =
-  List.filter_map
-    (fun a -> if Owner.equal a.owner owner then Some a.region else None)
-    t.assignments
-  |> Region.Set.of_list
-
 let free_bytes t ~zone =
   let zr = Numa.zone_range t.topology zone in
   Region.Set.total_bytes

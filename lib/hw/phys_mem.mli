@@ -49,7 +49,6 @@ val owns : t -> Owner.t -> Region.t -> bool
     number) whatever the region's size, and it allocates nothing —
     the ownership check behind [Xemem.export]. *)
 
-val owned_by : t -> Owner.t -> Region.Set.t
 val free_bytes : t -> zone:Numa.zone -> int
 
 val add_device : t -> name:string -> len:int -> Region.t

@@ -16,7 +16,6 @@ type t = {
   memmap : Memmap.t;
   page_table : Guest_pt.t;
   mutable heap_free : Region.Set.t;
-  mutable allowed_vectors : (int * int) list;
   irq_handlers : (int, ctx -> int -> unit) Hashtbl.t;
   pending_replies : (int, int) Hashtbl.t;
   mutable host_poke : (unit -> unit) option;
@@ -37,7 +36,6 @@ let page_table t = t.page_table
 let params t = t.params
 let stats t = t.stats
 let cores t = t.params.Boot_params.assigned_cores
-let allowed_vectors t = t.allowed_vectors
 
 (* Kitten reserves the first 16 MiB of its first region for the kernel
    image, page tables and boot structures; the heap starts above. *)
@@ -92,15 +90,8 @@ let handle_host_msg t msg =
       ignore pages;
       Memmap.remove_shared t.memmap ~segid;
       ack seq
-  | Message.Grant_ipi_vector { seq; vector; peer_core } ->
-      t.allowed_vectors <- (vector, peer_core) :: t.allowed_vectors;
-      ack seq
-  | Message.Revoke_ipi_vector { seq; vector; dest } ->
-      t.allowed_vectors <-
-        List.filter
-          (fun (v, d) ->
-            v <> vector || match dest with Some d' -> d <> d' | None -> false)
-          t.allowed_vectors;
+  | Message.Grant_ipi_vector { seq; _ }
+  | Message.Revoke_ipi_vector { seq; _ } ->
       ack seq
   | Message.Assign_device { seq; device; window } ->
       Memmap.add_device t.memmap ~name:device window;
@@ -141,7 +132,6 @@ let boot_core_body instance_ref machine enclave (cpu : Cpu.t) ~bsp params =
           Guest_pt.direct_map
             ~total_mem:(Numa.total_mem machine.Machine.topology);
         heap_free = Region.Set.empty;
-        allowed_vectors = [];
         irq_handlers = Hashtbl.create 8;
         pending_replies = Hashtbl.create 8;
         host_poke = None;
@@ -348,7 +338,6 @@ let out_reset_port (c : ctx) =
 
 let trigger_double_fault (c : ctx) =
   Machine.raise_abort c.machine c.cpu ~what:"double fault"
-
 
 let poke_device (c : ctx) ~name ~offset =
   (* a device driver writing a register in its BAR *)

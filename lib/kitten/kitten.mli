@@ -83,9 +83,6 @@ val send_ipi : context -> dest:int -> vector:int -> unit
 (** Transmit a fixed IPI; under Covirt's IPI protection this traps to
     the whitelist check. *)
 
-val allowed_vectors : t -> (int * int) list
-(** The kernel's believed view of its granted (vector, peer) pairs. *)
-
 val health : t -> [ `Ok | `Corrupted of string ]
 val assert_healthy : t -> unit
 (** Raise {!Kernel_panic} if corrupted — models the kernel eventually

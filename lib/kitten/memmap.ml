@@ -39,7 +39,6 @@ let shared_segments t =
   Hashtbl.fold (fun segid pages acc -> (segid, pages) :: acc) t.shared []
   |> List.sort compare
 
-let shared_pages t ~segid = Hashtbl.find_opt t.shared segid
 let add_device t ~name window = Hashtbl.replace t.device_windows name window
 let remove_device t ~name = Hashtbl.remove t.device_windows name
 let device_window t ~name = Hashtbl.find_opt t.device_windows name

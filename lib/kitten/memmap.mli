@@ -14,8 +14,6 @@ open Covirt_hw
 type t
 
 val create : Region.t list -> t
-val usable : t -> Region.Set.t
-(** Owned plus shared — everything the kernel believes it may touch. *)
 
 val owned : t -> Region.Set.t
 val believes_usable : t -> Addr.t -> bool
@@ -24,8 +22,6 @@ val add : t -> Region.t -> unit
 val remove : t -> Region.t -> unit
 val add_shared : t -> segid:int -> Region.t list -> unit
 val remove_shared : t -> segid:int -> unit
-val shared_segments : t -> (int * Region.t list) list
-val shared_pages : t -> segid:int -> Region.t list option
 
 val add_device : t -> name:string -> Region.t -> unit
 val remove_device : t -> name:string -> unit

@@ -11,7 +11,6 @@ type t = {
 let create ~pid ~name entry =
   { pid; name; entry; state = Ready; cpu_cycles = 0 }
 
-let is_exited t = match t.state with Exited _ -> true | Ready | Running -> false
 let exit_code t = match t.state with Exited c -> Some c | Ready | Running -> None
 
 let pp ppf t =

@@ -17,6 +17,5 @@ type t = {
 }
 
 val create : pid:int -> name:string -> (Kitten.context -> int) -> t
-val is_exited : t -> bool
 val exit_code : t -> int option
 val pp : Format.formatter -> t -> unit

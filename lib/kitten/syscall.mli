@@ -14,14 +14,11 @@ type disposition =
 
 val nr_read : int
 val nr_write : int
-val nr_open : int
-val nr_close : int
 val nr_mmap : int
 val nr_brk : int
 val nr_getpid : int
 val nr_gettimeofday : int
 val nr_clock_gettime : int
-val nr_exit : int
 
 val disposition : int -> disposition
 (** How Kitten treats a syscall number. *)

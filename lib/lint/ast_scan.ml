@@ -219,7 +219,7 @@ type emission =
   | Tap of string  (* application of a dereffed [*tap*] function ref *)
 
 let obs_metrics = [ "add"; "set"; "observe" ]
-let obs_span = [ "instant"; "begin_"; "finish"; "complete" ]
+let obs_span = [ "instant"; "complete" ]
 
 let sanitize_emissions =
   [ "note_enclave"; "note_ept"; "allow"; "disallow"; "drop_enclave";

@@ -31,13 +31,6 @@ val iter_guarded :
 val line_of : Parsetree.expression -> int
 val col_of : Parsetree.expression -> int
 
-(** [!flag] — the flattened target of a prefix-[!] deref of a single
-    identifier, if the expression has that shape. *)
-val deref_target : Parsetree.expression -> string list option
-
-(** Is this a deref of an enable flag ([on] or [*_on])? *)
-val is_on_flag_deref : Parsetree.expression -> bool
-
 (** Does the expression tree contain an enable-flag deref anywhere? *)
 val mentions_on_flag : Parsetree.expression -> bool
 

@@ -51,6 +51,9 @@ let catalogue =
     ( "determinism",
       "no wall-clock or self-seeded randomness in lib/; no Hashtbl \
        iteration feeding merged fleet results" );
+    ( "unused-export",
+      "every val in a lib/ interface is referenced from some other \
+       compilation unit (lib, bin, bench, examples or test)" );
   ]
 
 (* --- check: no-print ---------------------------------------------- *)
@@ -483,6 +486,67 @@ let check_mli_presence (rels : string list) =
                (Printf.sprintf "no interface (%s missing)" mli))
       else None)
     rels
+
+(* --- tree check: unused-export ------------------------------------ *)
+
+(* An interface and its implementation form one compilation unit. *)
+let unit_of path = Filename.remove_extension path
+
+(* The [val]s a signature exports, nested [module X : sig ... end]
+   declarations included, as (name, line, col). *)
+let rec sig_values acc (sg : signature) =
+  List.fold_left
+    (fun acc item ->
+      match item.psig_desc with
+      | Psig_value vd ->
+          let p = vd.pval_loc.loc_start in
+          (vd.pval_name.txt, p.pos_lnum, p.pos_cnum - p.pos_bol) :: acc
+      | Psig_module md -> mty_values acc md.pmd_type
+      | Psig_recmodule mds ->
+          List.fold_left (fun acc md -> mty_values acc md.pmd_type) acc mds
+      | _ -> acc)
+    acc sg
+
+and mty_values acc (mty : module_type) =
+  match mty.pmty_desc with Pmty_signature sg -> sig_values acc sg | _ -> acc
+
+(* Purely syntactic and name-based: any longident whose last component
+   is the exported name counts as a use, wherever it resolves, so the
+   check can miss dead code but never flags live code. *)
+let check_unused_export (sources : Source.t list) =
+  let users = Hashtbl.create 4096 in
+  List.iter
+    (fun (src : Source.t) ->
+      let u = unit_of src.path in
+      List.iter
+        (fun (r : Ast_scan.lid_ref) ->
+          match List.rev r.r_path with
+          | name :: _ ->
+              let us = Option.value ~default:[] (Hashtbl.find_opt users name) in
+              if not (List.mem u us) then Hashtbl.replace users name (u :: us)
+          | [] -> ())
+        (Ast_scan.refs src))
+    sources;
+  List.concat_map
+    (fun (src : Source.t) ->
+      match src.ast with
+      | Source.Intf sg when in_lib src.path ->
+          let u = unit_of src.path in
+          List.filter_map
+            (fun (name, line, col) ->
+              let us = Option.value ~default:[] (Hashtbl.find_opt users name) in
+              if List.exists (fun v -> v <> u) us then None
+              else
+                Some
+                  (finding ~check:"unused-export" ~src ~line ~col
+                     (Printf.sprintf
+                        "val %s is exported but no other compilation unit \
+                         references it: delete it, or drop it from the \
+                         interface"
+                        name)))
+            (List.rev (sig_values [] sg))
+      | _ -> [])
+    sources
 
 (* --- the per-file registry ---------------------------------------- *)
 

@@ -7,25 +7,14 @@
     order — the CLI's [--list] and the docs' check table render this. *)
 val catalogue : (string * string) list
 
-(** The files whose warm paths carry the zero-GC contract and must
-    keep at least one warm-region marker (DESIGN.md §13). *)
-val warm_files : string list
-
-val check_no_print : Source.t -> Finding.t list
-val check_guarded_obs : Source.t -> Finding.t list
-val check_tap_zero_cost : Source.t -> Finding.t list
-val check_fleet_monopoly : Source.t -> Finding.t list
-val check_replay_confinement : Source.t -> Finding.t list
-val check_warm_alloc : Source.t -> Finding.t list
-
-(** Also records every cross-layer edge into [graph] when given (the
-    engine threads one graph through the whole tree for DOT export). *)
-val check_layer_deps : ?graph:Layer.graph -> Source.t -> Finding.t list
-
-val check_determinism : Source.t -> Finding.t list
-
 (** Tree check: every lib/ .ml has a sibling .mli in the file list. *)
 val check_mli_presence : string list -> Finding.t list
+
+(** Tree check: every [val] of a lib/ .mli (nested module signatures
+    included) is named by the last component of some longident in a
+    compilation unit other than its own .ml/.mli.  [sources] is both
+    the interfaces to check and the reference set. *)
+val check_unused_export : Source.t list -> Finding.t list
 
 (** All per-file checks on one source, in catalogue order. *)
 val file_checks : ?graph:Layer.graph -> Source.t -> Finding.t list

@@ -31,10 +31,19 @@ let rec walk dir rel_prefix acc =
           else acc)
         acc entries
 
-let tree_files root =
-  let lib = walk (Filename.concat root "lib") "lib" [] in
-  let bin = walk (Filename.concat root "bin") "bin" [] in
-  List.sort String.compare (lib @ bin)
+let files_under root dirs =
+  List.sort String.compare
+    (List.concat_map (fun d -> walk (Filename.concat root d) d []) dirs)
+
+let tree_files root = files_under root [ "lib"; "bin" ]
+
+(* Read for [unused-export] references only, never linted.  The lint
+   fixtures are excluded: they impersonate lib/ files under virtual
+   paths and would otherwise count as uses. *)
+let reference_files root =
+  List.filter
+    (fun rel -> not (String.starts_with ~prefix:"test/lint_fixtures/" rel))
+    (files_under root [ "bench"; "examples"; "test" ])
 
 (* --- per-source analysis (fixture entry point) --- *)
 
@@ -62,29 +71,36 @@ let run ~root =
   if not (Sys.file_exists (Filename.concat root "lib")) then
     raise (No_tree (Printf.sprintf "no lib/ under %s" root));
   let rels = tree_files root in
+  let linted = List.map (fun rel -> Source.load ~root ~rel) rels in
+  let referencing =
+    List.map (fun rel -> Source.load ~root ~rel) (reference_files root)
+  in
   let graph = Layer.create () in
-  let findings = ref [] in
-  let suppressed = ref [] in
-  let parse_errors = ref [] in
-  let count = ref 0 in
-  List.iter
-    (fun rel ->
-      let src = Source.load ~root ~rel in
-      incr count;
-      (match src.Source.ast with
-      | Source.Parse_error msg -> parse_errors := (rel, msg) :: !parse_errors
-      | _ -> ());
-      let keep, supp = analyze_source ~graph src in
-      findings := keep :: !findings;
-      suppressed := supp :: !suppressed)
-    rels;
-  let tree_findings = Checks.check_mli_presence rels in
+  let per_file = List.map (analyze_source ~graph) linted in
+  let by_path = Hashtbl.create 512 in
+  List.iter (fun (s : Source.t) -> Hashtbl.replace by_path s.path s) linted;
+  let unused, unused_supp =
+    List.partition
+      (fun (f : Finding.t) ->
+        not (Source.suppresses (Hashtbl.find by_path f.file) f))
+      (Checks.check_unused_export (linted @ referencing))
+  in
   {
     root;
-    files = !count;
-    findings = List.sort Finding.compare (tree_findings @ List.concat !findings);
-    suppressed = List.sort Finding.compare (List.concat !suppressed);
-    parse_errors = List.rev !parse_errors;
+    files = List.length linted;
+    findings =
+      List.sort Finding.compare
+        (Checks.check_mli_presence rels @ unused
+        @ List.concat_map fst per_file);
+    suppressed =
+      List.sort Finding.compare (unused_supp @ List.concat_map snd per_file);
+    parse_errors =
+      List.filter_map
+        (fun (s : Source.t) ->
+          match s.ast with
+          | Source.Parse_error msg -> Some (s.path, msg)
+          | _ -> None)
+        (linted @ referencing);
     graph;
   }
 

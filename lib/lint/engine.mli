@@ -11,14 +11,6 @@ type result = {
   graph : Layer.graph;  (** cross-layer reference graph (DOT export) *)
 }
 
-(** Sorted .ml/.mli paths under [root]/lib and [root]/bin, repo-relative. *)
-val tree_files : string -> string list
-
-(** Run all per-file checks on an already-parsed source; returns
-    (kept, suppressed).  Cross-layer edges land in [graph] if given. *)
-val analyze_source :
-  ?graph:Layer.graph -> Source.t -> Finding.t list * Finding.t list
-
 (** Fixture entry point: analyze raw text under a virtual path.
     Returns (findings, suppressed, parse error if the text does not
     parse). *)
@@ -29,8 +21,10 @@ val analyze_string :
 
 exception No_tree of string
 
-(** Analyze [root]/lib and [root]/bin.  Raises [No_tree] when
-    [root]/lib does not exist (a tool error: exit 2). *)
+(** Analyze [root]/lib and [root]/bin; [root]/bench, [root]/examples
+    and [root]/test (minus test/lint_fixtures) are parsed only as
+    references for [unused-export].  Raises [No_tree] when [root]/lib
+    does not exist (a tool error: exit 2). *)
 val run : root:string -> result
 
 (** 0 clean, 1 findings, 2 tool error (parse failures). *)

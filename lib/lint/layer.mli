@@ -14,7 +14,6 @@ type layer = {
 val table : layer list
 
 val layer_of_dir : string -> layer option
-val layer_of_root_module : string -> layer option
 
 (** ["lib/hw/tlb.ml"] -> [Some "hw"]. *)
 val dir_of_path : string -> string option

@@ -221,9 +221,6 @@ let warm_spans t =
   in
   go [] None t.comments
 
-let in_warm_span t line =
-  List.exists (fun (lo, hi) -> line >= lo && line <= hi) (warm_spans t)
-
 (* --- suppressions --- *)
 
 (* "(* lint: allow <check-id> [rationale...] *)" suppresses findings

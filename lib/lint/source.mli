@@ -42,11 +42,5 @@ val load : root:string -> rel:string -> t
     [(* warm-end *)] markers; an unclosed span runs to end-of-file. *)
 val warm_spans : t -> (int * int) list
 
-val in_warm_span : t -> int -> bool
-
-(** [(check-id, first-line, last-line)] for each suppression comment:
-    the suppression covers the comment's own lines plus the next. *)
-val suppressions : t -> (string * int * int) list
-
 (** Does some suppression in [t] cover this finding? *)
 val suppresses : t -> Finding.t -> bool

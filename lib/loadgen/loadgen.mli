@@ -104,11 +104,6 @@ type leak_report = {
   admission_tenants : int;  (** token buckets tracked *)
 }
 
-val leak_free : leak_report -> bool
-(** Every gauge equals its expected value: registries match live
-    tenants, the vector space is conserved, no ack was orphaned and
-    the admission table is bounded by the tenant population. *)
-
 type shard_report = {
   shard : int;
   sc : counters;
@@ -147,11 +142,9 @@ val ok : report -> bool
 (** Leak-free on every shard, zero verifier violations, and no shard's
     peak in-flight boot count exceeded the admission bound. *)
 
-val overall_hist : report -> Metrics.Hist.t
-(** All op-latency samples, all tenants and kinds merged. *)
-
 val quantile_ns : report -> p:float -> float
-(** Percentile of {!overall_hist} converted to nanoseconds. *)
+(** Percentile of all op-latency samples (every tenant and op kind
+    merged), in nanoseconds. *)
 
 val per_tenant : report -> (int * Metrics.Hist.t) list
 (** Per-tenant latency histograms (all op kinds merged), sorted by

@@ -114,10 +114,6 @@ let alloc_app_memory t ~bytes =
       Proxy.mirror t.proxy region;
       Ok region
 
-let free_app_memory t region =
-  Proxy.unmirror t.proxy region;
-  t.heap_free <- Region.Set.add t.heap_free region
-
 let syscall t ~core ~number ~buffer =
   let cpu = Machine.cpu t.machine core in
   t.delegated <- t.delegated + 1;

@@ -33,9 +33,6 @@ val alloc_app_memory : t -> bytes:int -> (Region.t, string) result
     IHK/McKernel contract: allocation is visible host-side before any
     syscall can reference it). *)
 
-val free_app_memory : t -> Region.t -> unit
-(** Release and unmirror. *)
-
 val syscall : t -> core:int -> number:int -> buffer:Region.t option -> int
 (** Always delegated: trap into the kernel, ship to the proxy, charge
     the delegation round trip, return the proxy's result. *)

@@ -33,8 +33,6 @@ let unmirror t region =
   page_cost t (pages_of region / 4 (* teardown is cheaper than setup *));
   t.mirrored <- Region.Set.remove t.mirrored region
 
-let mirrored t = t.mirrored
-
 let delegate t ~number ~buffer =
   t.delegations <- t.delegations + 1;
   (* entering the proxy costs a host context switch either way *)

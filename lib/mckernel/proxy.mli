@@ -26,8 +26,6 @@ val mirror : t -> Region.t -> unit
 
 val unmirror : t -> Region.t -> unit
 
-val mirrored : t -> Region.Set.t
-
 val delegate : t -> number:int -> buffer:Region.t option -> int
 (** Service a delegated syscall.  A buffer outside the mirror is
     -EFAULT (-14); otherwise the call succeeds with a nominal result

@@ -16,11 +16,6 @@ let reset () =
   Profiler.reset ();
   Exporter.clear ()
 
-let configure ?cycles_per_us ~observe ~trace_spans () =
-  Option.iter Exporter.set_cycles_per_us cycles_per_us;
-  if observe then Metrics.enable ();
-  if trace_spans then Exporter.enable ()
-
 module Vmexit = struct
   let count = Metrics.counter "vmexit.count"
   let cycles = Metrics.histogram "vmexit.cycles"

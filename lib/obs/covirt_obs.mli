@@ -14,9 +14,9 @@
     - {b process-global}: instrumentation sites anywhere in the layer
       stack reach the registry without threading handles.
 
-    Wiring: [Config.observe] / [Config.trace_spans] feed
-    {!configure} when a controller attaches, and [covirt-ctl stats] /
-    [--trace-out] expose the results on the CLI. *)
+    Wiring: callers switch recording on with {!enable} (metrics and
+    profiler) and {!Exporter.enable} (span export); [covirt-ctl stats] /
+    [--trace-out] do so and expose the results on the CLI. *)
 
 module Metrics = Metrics
 module Profiler = Profiler
@@ -34,14 +34,6 @@ val enabled : unit -> bool
 
 val reset : unit -> unit
 (** Zero metrics, drop profiler attribution, clear the span buffer. *)
-
-val configure :
-  ?cycles_per_us:float -> observe:bool -> trace_spans:bool -> unit -> unit
-(** Apply config knobs.  Enable-only: [observe:true] turns metrics on,
-    [trace_spans:true] turns span export on, [false] leaves the current
-    state alone — so one instrumented controller among many is enough to
-    switch recording on, and a later plain attach cannot silence it.
-    [cycles_per_us] forwards to {!Exporter.set_cycles_per_us}. *)
 
 (** VM-exit recording hook, shared by every exit-delivery site. *)
 module Vmexit : sig

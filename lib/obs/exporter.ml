@@ -18,13 +18,11 @@ type event = {
   args : (string * string) list;
 }
 
-(* [capacity] and the cycle/us scale are configuration — shared, set
-   before a run; the buffer itself is per-domain (Domain-local
-   storage) so fleet shards trace into their own rings. *)
+(* [capacity] is configuration — shared, set before a run; the buffer
+   itself is per-domain (Domain-local storage) so fleet shards trace
+   into their own rings. *)
 let capacity = ref 65536
-let cycles_per_us = ref 1700.
-
-let set_cycles_per_us c = cycles_per_us := c
+let cycles_per_us = 1700.
 
 type ring = {
   mutable buf : event array;
@@ -85,7 +83,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let us_of_cycles c = float_of_int c /. !cycles_per_us
+let us_of_cycles c = float_of_int c /. cycles_per_us
 
 let event_json b e =
   Buffer.add_string b

@@ -7,9 +7,8 @@
     directly — or as one-event-per-line JSONL for streaming pipelines.
 
     Timestamps arrive as simulated TSC cycles and are converted to
-    microseconds at serialisation time using {!set_cycles_per_us} (the
-    machine's cost model sets this from its clock when observability is
-    wired up; the default corresponds to the stock 1.7 GHz model).
+    microseconds at serialisation time at a fixed 1700 cycles per
+    microsecond (a 1.7 GHz clock).
     Enclave ids map to Chrome [pid]s and CPU ids to [tid]s, so Perfetto
     renders one track group per enclave with one track per core.
 
@@ -18,7 +17,7 @@
     {!dropped}) rather than growing without bound.  The buffer is
     per-domain (Domain-local storage): a fleet shard traces into its
     own ring, and {!events}/{!to_chrome_json} read the calling domain's
-    ring only.  The [on]/{!set_capacity}/{!set_cycles_per_us}
+    ring only.  The [on]/{!set_capacity}
     configuration is shared — set it before spawning a fleet. *)
 
 val on : bool ref
@@ -36,10 +35,6 @@ val enabled : unit -> bool
 
 val set_capacity : int -> unit
 (** Resize the event buffer (default [65536] events) and clear it. *)
-
-val set_cycles_per_us : float -> unit
-(** Cycles-per-microsecond used to convert TSC timestamps at export
-    time (default [1700.], i.e. a 1.7 GHz clock). *)
 
 type event = {
   name : string;  (** event label, e.g. the exit-reason name *)

@@ -61,9 +61,6 @@ val no_label : label
 (** [{ enclave = -1; cpu = -1; dim = "" }] — the label of unlabeled
     series. *)
 
-val pp_label : Format.formatter -> label -> unit
-(** Renders as [enclave=E cpu=C dim=D], omitting [-1]/empty components. *)
-
 (** {1 Families and cells} *)
 
 type family

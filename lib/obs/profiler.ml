@@ -26,7 +26,6 @@ let key =
 let state () = Domain.DLS.get key
 
 let set_phase name = (state ()).phase <- name
-let current_phase () = (state ()).phase
 
 let bump table set_order order key ~cycles =
   let a =

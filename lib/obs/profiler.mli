@@ -19,9 +19,6 @@ val set_phase : string -> unit
 (** [set_phase name] labels all subsequent exits with [name] until the
     next call.  Cheap (one ref write); safe to call when disabled. *)
 
-val current_phase : unit -> string
-(** The active phase label; [""] initially. *)
-
 val record : reason:string -> cycles:int -> unit
 (** [record ~reason ~cycles] attributes one exit.  Called by the exit
     dispatch hook; callers must guard on {!Metrics.on}. *)
@@ -29,12 +26,6 @@ val record : reason:string -> cycles:int -> unit
 type row = { key : string; exits : int; cycles : int }
 (** One attribution line: [key] is an exit-reason name or a phase
     label. *)
-
-val by_reason : unit -> row list
-(** Per-exit-reason attribution, sorted by descending cycles. *)
-
-val by_phase : unit -> row list
-(** Per-phase attribution, in first-seen phase order. *)
 
 val attribution_table : unit -> string
 (** Rendered per-reason table: exits, total cycles, mean cycles/exit,

@@ -1,15 +1,7 @@
-type t = { name : string; cat : string; pid : int; tid : int; ts : int }
-
-let begin_ ~name ~cat ~pid ~tid ~ts = { name; cat; pid; tid; ts }
-
 let complete ?(args = []) ~name ~cat ~pid ~tid ~ts ~dur () =
   if !Exporter.on then
     Exporter.emit
       { Exporter.name; cat; ph = "X"; ts; dur; pid; tid; args }
-
-let finish ?(args = []) t ~ts =
-  complete ~args ~name:t.name ~cat:t.cat ~pid:t.pid ~tid:t.tid ~ts:t.ts
-    ~dur:(ts - t.ts) ()
 
 let instant ?(args = []) ~name ~cat ~pid ~tid ~ts () =
   if !Exporter.on then

@@ -8,17 +8,6 @@
     Timestamps are simulated TSC cycles (the exporter converts to
     microseconds at serialisation time). *)
 
-type t
-(** An open span: name, category, track, and start timestamp. *)
-
-val begin_ :
-  name:string -> cat:string -> pid:int -> tid:int -> ts:int -> t
-(** Open a span starting at cycle [ts] on track ([pid], [tid]). *)
-
-val finish : ?args:(string * string) list -> t -> ts:int -> unit
-(** Close a span at cycle [ts], emitting a Chrome complete ("X") event.
-    No-op when the exporter is disabled. *)
-
 val complete :
   ?args:(string * string) list ->
   name:string ->

@@ -9,9 +9,7 @@ type t = {
          instead of a scan of everything the enclave has pending —
          under thousands of in-flight control operations the old
          scan-and-requeue hunt was quadratic in channel depth. *)
-  mutable sent : int;
   mutable to_host_count : int;
-  mutable last_enclave_tsc : int;
 }
 
 let create () =
@@ -19,9 +17,7 @@ let create () =
     to_enclave = Queue.create ();
     to_host = Queue.create ();
     acks = Hashtbl.create 4;
-    sent = 0;
     to_host_count = 0;
-    last_enclave_tsc = 0;
   }
 
 let charge machine cpu =
@@ -29,14 +25,11 @@ let charge machine cpu =
 
 let send_to_enclave machine ~host_cpu t msg =
   charge machine host_cpu;
-  t.sent <- t.sent + 1;
   Queue.push msg t.to_enclave
 
 let send_to_host machine ~enclave_cpu t msg =
   charge machine enclave_cpu;
-  t.sent <- t.sent + 1;
   t.to_host_count <- t.to_host_count + 1;
-  t.last_enclave_tsc <- Cpu.rdtsc enclave_cpu;
   (* Acks and nacks answer a specific sequence number; they go to the
      reply slot keyed by it.  Everything else (console, syscalls,
      heartbeats, ready) stays in FIFO order for the drain paths. *)
@@ -66,8 +59,6 @@ let drain_host_side_n t ~max =
   in
   go max []
 
-let peek_host_side t = Queue.peek_opt t.to_host
-
 let take_ack t ~seq =
   match Hashtbl.find_opt t.acks seq with
   | Some result ->
@@ -75,9 +66,5 @@ let take_ack t ~seq =
       result
   | None -> Error (Printf.sprintf "no ack for seq %d" seq)
 
-let pending_to_enclave t = Queue.length t.to_enclave
-let pending_host_side t = Queue.length t.to_host
 let pending_acks t = Hashtbl.length t.acks
-let messages_sent t = t.sent
 let enclave_messages_sent t = t.to_host_count
-let last_enclave_activity t = t.last_enclave_tsc

@@ -38,31 +38,17 @@ val drain_host_side_n : t -> max:int -> Message.enclave_to_host list
     poll the dense control plane uses to bound per-poll work while
     keeping FIFO order.  [Invalid_argument] on negative [max]. *)
 
-val peek_host_side : t -> Message.enclave_to_host option
-(** Without removing. *)
-
 val take_ack : t -> seq:int -> (unit, string) result
 (** Remove the Ack/Nack for [seq] from the reply slot; an error if the
     reply is a [Nack] or no reply is pending (the co-kernel never
     answered — a protocol bug).  O(1), independent of how much other
     traffic is pending. *)
 
-val pending_to_enclave : t -> int
-
-val pending_host_side : t -> int
-(** Non-reply messages awaiting a host-side drain. *)
-
 val pending_acks : t -> int
 (** Unclaimed Ack/Nack replies.  A quiesced enclave should have none;
     a monotonic count here is a leaked-transaction bug. *)
-
-val messages_sent : t -> int
 
 val enclave_messages_sent : t -> int
 (** Count of enclave-to-host sends only — any traffic here (acks,
     syscalls, console, heartbeats) is a sign of life from the
     co-kernel, which is what the watchdog monitors. *)
-
-val last_enclave_activity : t -> int
-(** TSC of the sending enclave core at its most recent
-    enclave-to-host message (0 if it never sent one). *)

@@ -8,8 +8,7 @@
       outcomes (resume / skip / kill);
     - the EPT walk-branch classes (walk-cache hit/fill, uncached walk,
       PT-slot hit/fill, the two violation reasons);
-    - the injected fault classes
-      ({!Covirt_resilience.Fault_injector.fault_code});
+    - the injected fault classes (dense index in declaration order);
     - the sanitizer violation kinds;
     - planted and detected corruption classes, trial outcomes, the
       crash oracle, XEMEM attach/detach success/failure, enclave

@@ -38,12 +38,6 @@
 
 module Rng = Covirt_sim.Rng
 
-let mutation_names =
-  [
-    "dup-input"; "reorder"; "truncate"; "mutate-fault"; "mutate-exit";
-    "inject-corrupt"; "xemem-interleave"; "spawn-enclave";
-  ]
-
 type finding = {
   digest : string;  (** of the {e minimized} trace *)
   shard : int;

@@ -20,13 +20,6 @@
     Every decision derives from [Rng.split_seed] of the shard seed
     and the merge is a pure fold in shard order. *)
 
-val mutation_names : string list
-(** The eight operators, for docs and tables: dup-input, reorder,
-    truncate, mutate-fault, mutate-exit, inject-corrupt,
-    xemem-interleave, spawn-enclave.  To add one: extend {!Fuzzer}'s
-    [apply_mutation] (and this list), keeping every random draw on the
-    shard rng. *)
-
 type finding = {
   digest : string;  (** {!Trace.digest} of the minimized trace *)
   shard : int;  (** fuzz trial that found it *)
@@ -65,11 +58,6 @@ type result = {
 val fuzz_configs : string list
 (** Configs the fuzzer samples (all presets but native, which has no
     controller instances to corrupt). *)
-
-val classes_for : string -> Trace.corruption list
-(** Corruption classes whose oracles can fire under a config:
-    freed-access needs EPT enforcement off, the EPT corruptions need
-    an EPT, stale-grant works under any enabled config. *)
 
 val run :
   ?trials:int ->

@@ -20,16 +20,14 @@ type stats = {
   minimized_trials : int;
 }
 
-val default_keep : Scenario.report -> bool
-(** The crash oracle: the replay produced at least one crash. *)
-
 val minimize :
   ?keep:(Scenario.report -> bool) ->
   ?preserve_edges:Coverage.t ->
   ?max_probes:int ->
   Trace.t ->
   Trace.t * stats
-(** Minimize under [keep] (default {!default_keep}), spending at most
+(** Minimize under [keep] (default: the replay produced at least one
+    crash), spending at most
     [max_probes] replays (default 400).  If the failure does not
     reproduce from the trace's inputs alone, the trace is returned
     unreduced (never a non-reproducer).  Minimizing an already-minimal

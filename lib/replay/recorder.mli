@@ -23,17 +23,10 @@ module Fault_injector = Covirt_resilience.Fault_injector
     {!Covirt_hw.Vmcs.exit_reason} grows a constructor, this module
     fails to compile instead of the format drifting. *)
 
-val of_exit_reason : Vmcs.exit_reason -> Trace.exit_payload
 val to_exit_reason : Trace.exit_payload -> Vmcs.exit_reason
-val of_fault : Fault_injector.fault -> Trace.fault_payload
 val to_fault : Trace.fault_payload -> Fault_injector.fault
 
 (** {1 Recording} *)
-
-val default_capacity : int
-(** Ring capacity when {!arm} is not given one (65536 events — ample
-    for a full trial batch; soak shards overflow into a trailing
-    window). *)
 
 val arm : ?capacity:int -> unit -> unit
 (** Start recording in the calling domain: reset the ring and slot to

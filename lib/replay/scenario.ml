@@ -66,9 +66,6 @@ let config_of_name name =
   | Some c -> Some c
   | None -> if name = "full" then Some Covirt.Config.full else None
 
-let config_names =
-  List.map fst Covirt.Config.presets @ [ "full" ]
-
 (* Exceptions that are legitimate simulated outcomes, not harness
    crashes.  Everything else escaping a trial is the crash oracle
    firing. *)

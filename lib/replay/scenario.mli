@@ -44,22 +44,9 @@ type report = {
   sanitizer_flags : int;  (** summed sanitizer deltas *)
 }
 
-val config_of_name : string -> Covirt.Config.t option
-(** Resolve a scenario config name: the campaign presets plus
-    ["full"]. *)
-
-val config_names : string list
-(** The names {!config_of_name} accepts (presets plus ["full"]). *)
-
 val simulated_exn : exn -> bool
 (** Whether an exception is a legitimate simulated outcome rather
     than a crash. *)
-
-val violation_matches : Trace.corruption -> Covirt_analysis.Violation.t -> bool
-(** The typed detection map: which violation kinds count as detecting
-    which planted corruption class (cross-owner ←
-    cross-owner/corrupt-mapping; free-map ← unbacked/corrupt-mapping;
-    stale-grant ← stale-grant; freed-access ← shadow freed-access). *)
 
 val record :
   ?schedule:Fault_injector.t ->

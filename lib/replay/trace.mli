@@ -150,10 +150,7 @@ val digest : t -> string
 (** Hex digest of the encoding, for corpus filenames and fuzz
     tables. *)
 
-val pp_exit_payload : Format.formatter -> exit_payload -> unit
-val pp_fault_payload : Format.formatter -> fault_payload -> unit
 val pp_event : Format.formatter -> event -> unit
-val pp_scenario : Format.formatter -> scenario -> unit
 
 val pp_summary : Format.formatter -> t -> unit
 (** Multi-line human summary: scenario, size, digest, event counts —

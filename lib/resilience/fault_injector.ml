@@ -22,10 +22,6 @@ let pp_fault ppf = function
 
 let is_wedge = function Wedge _ -> true | _ -> false
 
-let is_fatal_under_full_protection = function
-  | Msr_write | Port_reset | Double_fault | Phantom_touch _ -> true
-  | Wild_write _ | Errant_ipi _ | Wedge _ -> false
-
 type trigger = At_trial of int | Every_n_trials of int | At_cycle of int
 
 type rule = { target : string; trigger : trigger; fault : fault }
@@ -153,9 +149,8 @@ let injected t = t.applied
 (* ------------------------------------------------------------------ *)
 (* Schedule serialization: a trace must fully determine the faults a
    replayed run injects, so the seeded schedule travels as JSON inside
-   the trace header (and in quarantine-capture sidecars).  The format
-   round-trips through [of_json], fired flags included, so a schedule
-   serialized mid-run resumes exactly where it stopped. *)
+   the trace header (and in quarantine-capture sidecars), fired flags
+   included. *)
 
 let fault_to_json = function
   | Wild_write a -> Printf.sprintf {|{"kind":"wild-write","addr":%d}|} a
@@ -196,199 +191,3 @@ let schedule_to_json t =
   in
   Printf.sprintf {|{"seed":%d,"rules":[%s]}|} t.seed
     (String.concat "," (List.map rule t.rules))
-
-(* A minimal recursive-descent parser over the subset [schedule_to_json]
-   emits (objects, arrays, strings with the escapes above, integers,
-   booleans).  Self-contained on purpose: the repo carries no JSON
-   dependency, and the sidecar format is ours. *)
-
-type jv =
-  | J_obj of (string * jv) list
-  | J_arr of jv list
-  | J_str of string
-  | J_int of int
-  | J_bool of bool
-
-exception Parse of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> raise (Parse (Printf.sprintf "expected %c at byte %d" c !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Parse "unterminated string")
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then raise (Parse "unterminated escape")
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 'u' ->
-                   if !pos + 4 >= n then raise (Parse "short \\u escape");
-                   let code =
-                     int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                   in
-                   Buffer.add_char buf (Char.chr (code land 0xff));
-                   pos := !pos + 4
-               | c -> raise (Parse (Printf.sprintf "bad escape \\%c" c)));
-            advance ();
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          J_obj []
-        end
-        else
-          let rec fields acc =
-            let key = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                skip_ws ();
-                fields ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                J_obj (List.rev ((key, v) :: acc))
-            | _ -> raise (Parse "expected , or } in object")
-          in
-          (skip_ws ();
-           fields [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          J_arr []
-        end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                J_arr (List.rev (v :: acc))
-            | _ -> raise (Parse "expected , or ] in array")
-          in
-          items []
-    | Some '"' -> J_str (parse_string ())
-    | Some 't' ->
-        pos := !pos + 4;
-        J_bool true
-    | Some 'f' ->
-        pos := !pos + 5;
-        J_bool false
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        if peek () = Some '-' then advance ();
-        let rec digits () =
-          match peek () with
-          | Some '0' .. '9' ->
-              advance ();
-              digits ()
-          | _ -> ()
-        in
-        digits ();
-        J_int (int_of_string (String.sub s start (!pos - start)))
-    | _ -> raise (Parse (Printf.sprintf "unexpected input at byte %d" !pos))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Parse "trailing garbage after JSON value");
-  v
-
-let field name = function
-  | J_obj fields -> (
-      match List.assoc_opt name fields with
-      | Some v -> v
-      | None -> raise (Parse ("missing field " ^ name)))
-  | _ -> raise (Parse ("expected object around field " ^ name))
-
-let as_int = function J_int i -> i | _ -> raise (Parse "expected integer")
-let as_str = function J_str s -> s | _ -> raise (Parse "expected string")
-let as_bool = function J_bool b -> b | _ -> raise (Parse "expected boolean")
-let as_arr = function J_arr l -> l | _ -> raise (Parse "expected array")
-
-let fault_of_jv jv =
-  match as_str (field "kind" jv) with
-  | "wild-write" -> Wild_write (as_int (field "addr" jv))
-  | "phantom-touch" -> Phantom_touch (as_int (field "addr" jv))
-  | "errant-ipi" ->
-      Errant_ipi
-        { dest = as_int (field "dest" jv); vector = as_int (field "vector" jv) }
-  | "msr-write" -> Msr_write
-  | "port-reset" -> Port_reset
-  | "double-fault" -> Double_fault
-  | "wedge" -> Wedge { cycles = as_int (field "cycles" jv) }
-  | k -> raise (Parse ("unknown fault kind " ^ k))
-
-let trigger_of_jv jv =
-  match as_str (field "kind" jv) with
-  | "at-trial" -> At_trial (as_int (field "n" jv))
-  | "every-n-trials" -> Every_n_trials (as_int (field "n" jv))
-  | "at-cycle" -> At_cycle (as_int (field "cycle" jv))
-  | k -> raise (Parse ("unknown trigger kind " ^ k))
-
-let of_json s =
-  match parse_json s with
-  | jv ->
-      let seed = as_int (field "seed" jv) in
-      let t = create ~seed () in
-      let rules =
-        List.map
-          (fun rv ->
-            {
-              rule =
-                {
-                  target = as_str (field "target" rv);
-                  trigger = trigger_of_jv (field "trigger" rv);
-                  fault = fault_of_jv (field "fault" rv);
-                };
-              fired = as_bool (field "fired" rv);
-            })
-          (as_arr (field "rules" jv))
-      in
-      Ok { t with rules }
-  | exception Parse why -> Error ("fault schedule: " ^ why)
-  | exception Failure why -> Error ("fault schedule: " ^ why)

@@ -36,11 +36,6 @@ val is_wedge : fault -> bool
 (** True for {!Wedge} — the class that produces no trap and must be
     caught by the watchdog rather than containment. *)
 
-val is_fatal_under_full_protection : fault -> bool
-(** Whether the fault, injected under the full protection config,
-    terminates the enclave ([Errant_ipi] is dropped, [Wedge] hangs,
-    [Wild_write] depends on where it lands — reported [false]). *)
-
 type trigger =
   | At_trial of int  (** fire exactly once, at that trial number *)
   | Every_n_trials of int  (** fire whenever [trial mod n = 0] *)
@@ -82,22 +77,10 @@ val due : t -> target:string -> trial:int -> now:int -> schedule_status
     One-shot triggers are consumed.  An injector created without rules
     always answers [Due []] (there is no schedule to exhaust). *)
 
-val schedule_exhausted : t -> bool
-(** Whether a non-empty schedule has no rule that can ever fire
-    again. *)
-
 val schedule_to_json : t -> string
 (** Serialize the seed and the schedule — fired flags included — as
     one JSON object, so a replay trace or quarantine capture fully
-    determines the injected faults.  Round-trips through
-    {!of_json}. *)
-
-val of_json : string -> (t, string) result
-(** Rebuild an injector from {!schedule_to_json} output: same seed
-    (hence the same {!draw} stream from the start) and the same
-    schedule state.  The random stream position is {e not} part of the
-    format — replay re-runs from the beginning, it does not resume
-    mid-stream. *)
+    determines the injected faults. *)
 
 val tap_on : bool ref
 (** Arms {!inject_tap}.  Owned by the replay recorder; one branch per
@@ -115,12 +98,9 @@ val cov_on : bool ref
     branch per {!inject} when off. *)
 
 val cov_tap : (int -> unit) ref
-(** Called while [cov_on] with {!fault_code} of every applied fault.
+(** Called while [cov_on] with the dense fault-class index ([0 .. 6],
+    declaration order) of every applied fault.
     Same zero-cost contract as {!inject_tap}. *)
-
-val fault_code : fault -> int
-(** Dense fault-class index ([0 .. 6]) in declaration order — the
-    coverage-map key for injected faults. *)
 
 val inject : t -> Kitten.context -> fault -> unit
 (** Apply the fault on the given execution context and count it.  May

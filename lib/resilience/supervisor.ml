@@ -11,17 +11,18 @@ type policy = {
   watchdog_deadline : int;
 }
 
-let policy_of_config (c : Covirt.Config.t) =
+(* A handful of restarts with exponential backoff starting at 100k
+   cycles (~40 µs at 2.4 GHz) capped at ~10 ms, and a watchdog deadline
+   of 5M cycles of silence. *)
+let default_policy =
   {
-    max_restarts = c.Covirt.Config.restart_budget;
-    backoff_base = c.Covirt.Config.backoff_base;
-    backoff_factor = c.Covirt.Config.backoff_factor;
-    backoff_cap = c.Covirt.Config.backoff_cap;
-    stability_window = c.Covirt.Config.stability_window;
-    watchdog_deadline = c.Covirt.Config.watchdog_deadline;
+    max_restarts = 5;
+    backoff_base = 100_000;
+    backoff_factor = 2;
+    backoff_cap = 25_000_000;
+    stability_window = 50_000_000;
+    watchdog_deadline = 5_000_000;
   }
-
-let default_policy = policy_of_config Covirt.Config.native
 
 type event_kind =
   | Fault_detected of string
@@ -81,16 +82,11 @@ let policy t = t.pol
 let host_cpu t = Pisces.host_cpu (Covirt.Controller.pisces t.ctrl)
 let now t = Cpu.rdtsc (host_cpu t)
 
-let create ?policy ~seed ctrl =
-  let pol =
-    match policy with
-    | Some p -> p
-    | None -> policy_of_config (Covirt.Controller.default_config ctrl)
-  in
+let create ?(policy = default_policy) ~seed ctrl =
   let t =
     {
       ctrl;
-      pol;
+      pol = policy;
       rng = Covirt_sim.Rng.create ~seed;
       managed = [];
       events = [];
@@ -278,16 +274,10 @@ let run_protected t ~name f =
               let cause =
                 match consume_pending t crash.Pisces.enclave_id with
                 | Some r ->
-                    (* Route the detail through the trace-severity gate:
-                       forcing it unconditionally here would undo the
-                       report's laziness for severity-filtered events. *)
-                    let trace =
-                      (Pisces.machine pisces).Machine.trace
-                    in
                     Format.asprintf "%s on cpu %d (%s)"
                       (Covirt.Fault_report.kind_name r.Covirt.Fault_report.kind)
                       r.Covirt.Fault_report.cpu
-                      (Covirt.Fault_report.rendered_detail r ~trace)
+                      (Lazy.force r.Covirt.Fault_report.detail)
                 | None -> crash.Pisces.reason
               in
               push t m (Fault_detected cause);

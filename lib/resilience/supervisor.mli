@@ -38,12 +38,6 @@ type policy = {
   watchdog_deadline : int;  (** silence tolerated before wedge verdict *)
 }
 
-val policy_of_config : Covirt.Config.t -> policy
-(** Lift the supervision knobs out of a protection config. *)
-
-val default_policy : policy
-(** {!policy_of_config} of the default protection config. *)
-
 (** What happened at one step of the recovery protocol. *)
 type event_kind =
   | Fault_detected of string  (** a fatal fault report arrived *)
@@ -73,8 +67,10 @@ type t
 (** One supervisor; manages any number of named enclaves. *)
 
 val create : ?policy:policy -> seed:int -> Covirt.Controller.t -> t
-(** Attach to the controller's fault feed.  [policy] defaults to
-    {!policy_of_config} of the controller's default config. *)
+(** Attach to the controller's fault feed.  [policy] defaults to 5
+    restarts, backoff from 100_000 cycles doubling up to 25_000_000, a
+    50_000_000-cycle stability window and a 5_000_000-cycle watchdog
+    deadline. *)
 
 val manage :
   t ->

@@ -104,6 +104,3 @@ let poll t =
             end
           end))
     (Supervisor.names t.sup)
-
-let stalled_for t ~name =
-  Option.map (fun s -> s.s_stalled) (Hashtbl.find_opt t.snaps name)

@@ -30,8 +30,3 @@ val poll : t -> string list
     {!Supervisor.escalate_wedged} (recording a
     [Watchdog_timeout] fault report, tearing down and recovering);
     returns the names escalated by this poll, in management order. *)
-
-val stalled_for : t -> name:string -> int option
-(** Host cycles since the enclave's progress signature last advanced
-    (as of the last {!poll}); [None] if never polled, unmanaged or
-    quarantined. *)

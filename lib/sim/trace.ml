@@ -6,31 +6,18 @@ type t = {
   capacity : int;
   ring : event option array;
   mutable next : int; (* total number of events ever recorded *)
-  mutable min_severity : severity;
 }
-
-let severity_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity";
-  { capacity; ring = Array.make capacity None; next = 0; min_severity = Debug }
-
-let set_min_severity t severity = t.min_severity <- severity
-let min_severity t = t.min_severity
-
-let would_record t ~severity =
-  severity_rank severity >= severity_rank t.min_severity
+  { capacity; ring = Array.make capacity None; next = 0 }
 
 let record t ~tsc ~cpu ~severity message =
-  if would_record t ~severity then begin
-    t.ring.(t.next mod t.capacity) <- Some { tsc; cpu; severity; message };
-    t.next <- t.next + 1
-  end
+  t.ring.(t.next mod t.capacity) <- Some { tsc; cpu; severity; message };
+  t.next <- t.next + 1
 
 let recordf t ~tsc ~cpu ~severity fmt =
-  if would_record t ~severity then
-    Format.kasprintf (record t ~tsc ~cpu ~severity) fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
+  Format.kasprintf (record t ~tsc ~cpu ~severity) fmt
 
 let events t =
   let n = min t.next t.capacity in

@@ -15,18 +15,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity: 4096 events; older events are dropped first. *)
 
-val set_min_severity : t -> severity -> unit
-(** Drop events below this severity at the recording site.  Defaults
-    to [Debug] (record everything).  [recordf] skips its formatting
-    work entirely for suppressed events, so hot exit paths that trace
-    at [Debug] cost nothing when the sink is raised to [Info]+. *)
-
-val min_severity : t -> severity
-
-val would_record : t -> severity:severity -> bool
-(** [true] iff an event at this severity would be kept — callers with
-    expensive-to-build payloads can gate on this before rendering. *)
-
 val record : t -> tsc:int -> cpu:int -> severity:severity -> string -> unit
 val recordf :
   t ->

@@ -14,10 +14,3 @@ let pp_bytes ppf n =
   else if n >= mib then Format.fprintf ppf "%.1fMiB" (f /. float_of_int mib)
   else if n >= kib then Format.fprintf ppf "%.1fKiB" (f /. float_of_int kib)
   else Format.fprintf ppf "%dB" n
-
-let pp_cycles ~ghz ppf c =
-  let ns = cycles_to_ns ~ghz c in
-  if ns >= 1e9 then Format.fprintf ppf "%.3fs" (ns /. 1e9)
-  else if ns >= 1e6 then Format.fprintf ppf "%.3fms" (ns /. 1e6)
-  else if ns >= 1e3 then Format.fprintf ppf "%.3fus" (ns /. 1e3)
-  else Format.fprintf ppf "%.0fns" ns

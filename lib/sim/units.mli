@@ -5,7 +5,6 @@
     through this module so a single clock-frequency constant governs
     them. *)
 
-val kib : int
 val mib : int
 val gib : int
 
@@ -19,6 +18,3 @@ val bytes_per_sec_to_mb_s : float -> float
 
 val pp_bytes : Format.formatter -> int -> unit
 (** "4.0KiB", "14.0GiB", ... *)
-
-val pp_cycles : ghz:float -> Format.formatter -> int -> unit
-(** Render a cycle count as the most readable time unit. *)

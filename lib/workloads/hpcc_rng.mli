@@ -8,12 +8,6 @@
 
 type t
 
-val poly : int64
-(** The GF(2) feedback polynomial's low bits, [0x7]. *)
-
-val next_ran : int64 -> int64
-(** One raw step of the recurrence (pure; exposed for tests). *)
-
 val stream : core:int -> t
 (** A fresh per-core stream, seeded HPCC-style. *)
 

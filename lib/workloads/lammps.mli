@@ -89,27 +89,6 @@ module Md : sig
       atom index and each is walked only while [j > i], so every pair is
       visited exactly once, in a fixed order. *)
 
-  val eam_embed : atoms -> cutoff:float -> unit
-  (** Scale the forces by an EAM-like embedding term, -d(sqrt rho),
-      where an atom's density [rho] sums [(c² - r²) / c²] over partners
-      within [cutoff].  The density has open boundaries (no minimum
-      image).  Its pairs come from a cell list over the atoms' bounding
-      box, and each atom's partners [j > i] are applied in ascending
-      [j], so every density sums its terms in the order of the direct
-      [i < j] double loop. *)
-
-  val chain_forces : atoms -> unit
-  (** Add FENE bond forces between consecutive atoms of each 32-bead
-      chain ([i], [i + 1] with [(i + 1) mod 32 <> 0]). *)
-
-  val chute_forces : atoms -> unit
-  (** Add gravity along -z and a damped floor contact below z = 0.5. *)
-
-  val integrate : atoms -> dt:float -> unit
-  (** One symplectic-Euler step: velocities from forces, then
-      positions from velocities. *)
-
-  val kinetic_energy : atoms -> float
 end
 
 val run :

@@ -10,8 +10,6 @@ type result = {
   noise_fraction : float;
 }
 
-let default_threshold_cycles = 100
-
 (* Background (non-timer) noise defaults for an LWK: rare housekeeping
    and SMI-class events.  Mean interarrival 200ms, ~2.5us each — the
    kind of residue even Kitten cannot eliminate. *)

@@ -24,9 +24,6 @@ type result = {
   noise_fraction : float;  (** detour time / run time *)
 }
 
-val default_threshold_cycles : int
-(** 100 cycles, the benchmark's default granularity multiple. *)
-
 val run :
   Kitten.context -> ?duration_s:float -> ?threshold_cycles:int ->
   ?background_mean_s:float -> ?background_cost_cycles:int -> unit -> result

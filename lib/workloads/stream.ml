@@ -113,5 +113,3 @@ let run ctxs ?(elems = default_elems) ?(iters = 10) () =
               triad_mb_s = triad;
               checksum;
             })
-
-let best_rate r = r.triad_mb_s

@@ -23,6 +23,3 @@ val run :
   Kitten.context list -> ?elems:int -> ?iters:int -> unit ->
   (result, string) Stdlib.result
 (** Shard the arrays across the given cores; [iters] defaults to 10. *)
-
-val best_rate : result -> float
-(** Triad MB/s — the headline number. *)

@@ -153,17 +153,17 @@ let test_io_bitmap () =
       ignore (Io_port.Bitmap.is_protected bm 70000))
 
 let test_apic_irr_priority () =
-  let apic = Apic.create ~apic_id:0 in
+  let apic = Apic.create () in
   Apic.raise_irr apic ~vector:0x40;
   Apic.raise_irr apic ~vector:0xef;
   Apic.raise_irr apic ~vector:0x80;
-  Alcotest.(check (option int)) "highest first" (Some 0xef) (Apic.ack_highest apic);
-  Alcotest.(check (option int)) "then 0x80" (Some 0x80) (Apic.ack_highest apic);
-  Alcotest.(check (option int)) "then 0x40" (Some 0x40) (Apic.ack_highest apic);
-  Alcotest.(check (option int)) "empty" None (Apic.ack_highest apic)
+  Alcotest.(check int) "highest first" 0xef (Apic.ack_highest apic);
+  Alcotest.(check int) "then 0x80" 0x80 (Apic.ack_highest apic);
+  Alcotest.(check int) "then 0x40" 0x40 (Apic.ack_highest apic);
+  Alcotest.(check int) "empty" (-1) (Apic.ack_highest apic)
 
 let test_apic_pir () =
-  let apic = Apic.create ~apic_id:1 in
+  let apic = Apic.create () in
   Apic.pir_post apic ~vector:0x40;
   Apic.pir_post apic ~vector:0x41;
   Alcotest.(check bool) "outstanding" true (Apic.pir_outstanding apic);
@@ -178,7 +178,7 @@ let test_apic_pir () =
     (Apic.pending_vectors apic)
 
 let test_apic_nmi_and_timer () =
-  let apic = Apic.create ~apic_id:2 in
+  let apic = Apic.create () in
   Alcotest.(check bool) "no nmi" false (Apic.take_nmi apic);
   Apic.raise_nmi apic;
   Alcotest.(check bool) "nmi taken" true (Apic.take_nmi apic);

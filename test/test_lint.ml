@@ -207,7 +207,7 @@ let test_comment_scanner () =
   | _ -> Alcotest.fail "unexpected comment shapes"
 
 let test_catalogue () =
-  Alcotest.(check int) "nine checks registered" 9 (List.length Checks.catalogue);
+  Alcotest.(check int) "ten checks registered" 10 (List.length Checks.catalogue);
   let ids = List.map fst Checks.catalogue in
   Alcotest.(check int) "check ids are unique" (List.length ids)
     (List.length (List.sort_uniq String.compare ids));
@@ -218,7 +218,7 @@ let test_catalogue () =
         true (List.mem id ids))
     [ "mli-presence"; "no-print"; "guarded-obs"; "tap-zero-cost";
       "fleet-monopoly"; "replay-confinement"; "warm-alloc"; "layer-deps";
-      "determinism" ]
+      "determinism"; "unused-export" ]
 
 (* --- tree-level engine behaviour ------------------------------------- *)
 
@@ -255,7 +255,8 @@ let with_tree files f =
 let test_mli_presence_and_exit_codes () =
   with_tree
     [ ("lib/widget/gear.ml", "let x = 1\n");
-      ("lib/widget/gear.mli", "val x : int\n") ]
+      ("lib/widget/gear.mli", "val x : int\n");
+      ("bin/main.ml", "let () = ignore Gear.x\n") ]
     (fun root ->
       let r = Engine.run ~root in
       Alcotest.(check int) "covered module: clean tree exits 0" 0
@@ -286,10 +287,42 @@ let test_mli_presence_and_exit_codes () =
     (Engine.No_tree "no lib/ under /nonexistent-covirt-root") (fun () ->
       ignore (Engine.run ~root:"/nonexistent-covirt-root"))
 
+(* The unused-export fixtures as a three-unit tree: the interface and
+   its implementation in lib/, a user of two exports under [user_dir]. *)
+let unused_export_tree user_dir =
+  [ ("lib/widget/gear.mli", read_file "lint_fixtures/fx_unused_export.mli");
+    ("lib/widget/gear.ml", read_file "lint_fixtures/fx_unused_export.ml");
+    ( user_dir ^ "/user.ml",
+      read_file "lint_fixtures/fx_unused_export_user.ml" ) ]
+
+let test_unused_export () =
+  with_tree (unused_export_tree "test") (fun root ->
+      let r = Engine.run ~root in
+      check_only ~msg:"unused-export" "unused-export" r.Engine.findings;
+      Alcotest.(check (list (pair string int)))
+        "the dead val and the dead nested val are flagged at their .mli \
+         lines; self-use in gear.ml does not count, a use through open or \
+         M.( ... ) in another unit does"
+        [ ("lib/widget/gear.mli", 1); ("lib/widget/gear.mli", 7) ]
+        (List.map
+           (fun f -> (f.Finding.file, f.Finding.line))
+           r.Engine.findings);
+      Alcotest.(check (list int)) "the suppressed val is counted, not dropped"
+        [ 5 ] (lines r.Engine.suppressed);
+      check_only ~msg:"unused-export suppressed" "unused-export"
+        r.Engine.suppressed;
+      Alcotest.(check int) "findings exit 1" 1 (Engine.exit_code r));
+  with_tree (unused_export_tree "test/lint_fixtures") (fun root ->
+      let r = Engine.run ~root in
+      Alcotest.(check (list int))
+        "uses inside test/lint_fixtures are not references" [ 1; 2; 3; 7 ]
+        (lines r.Engine.findings))
+
 let test_layer_graph_dot () =
   with_tree
     [ ("lib/hw/gear.ml", "let draw = Covirt_sim.Rng.draw\n");
-      ("lib/hw/gear.mli", "val draw : int\n") ]
+      ("lib/hw/gear.mli", "val draw : int\n");
+      ("bin/main.ml", "let () = ignore Gear.draw\n") ]
     (fun root ->
       let r = Engine.run ~root in
       Alcotest.(check int) "an allowed edge is not a finding" 0
@@ -361,6 +394,7 @@ let () =
           Alcotest.test_case "mli presence and exit codes" `Quick
             test_mli_presence_and_exit_codes;
           Alcotest.test_case "layer graph DOT" `Quick test_layer_graph_dot;
+          Alcotest.test_case "unused exports" `Quick test_unused_export;
           Alcotest.test_case "live tree is clean" `Quick test_live_tree_clean;
         ] );
     ]

@@ -251,6 +251,26 @@ let test_stability_window_resets_budget () =
 (* ------------------------------------------------------------------ *)
 (* Watchdog.                                                           *)
 
+(* Without [~policy] the supervisor runs the fixed default: 5 restarts,
+   backoff 100k cycles doubling up to 25M, a 50M-cycle stability window
+   and a 5M-cycle watchdog deadline. *)
+let test_default_policy () =
+  let machine =
+    Machine.create ~seed:3 ~zones:1 ~cores_per_zone:2 ~mem_per_zone:(1 * gib)
+      ~host_reserved_per_zone:(128 * mib) ()
+  in
+  let hobbes = Covirt_hobbes.Hobbes.create machine ~host_core:0 in
+  let ctrl =
+    Covirt.enable (Covirt_hobbes.Hobbes.pisces hobbes) ~config:Covirt.Config.mem
+  in
+  let p = Supervisor.policy (Supervisor.create ~seed:3 ctrl) in
+  Alcotest.(check (list int))
+    "max_restarts, backoff base/factor/cap, stability window, watchdog \
+     deadline"
+    [ 5; 100_000; 2; 25_000_000; 50_000_000; 5_000_000 ]
+    [ p.Supervisor.max_restarts; p.backoff_base; p.backoff_factor;
+      p.backoff_cap; p.stability_window; p.watchdog_deadline ]
+
 let test_watchdog_catches_wedge () =
   let s = supervised_stack () in
   let dog = Watchdog.create s.sup in
@@ -564,6 +584,7 @@ let () =
             test_circuit_breaker;
           Alcotest.test_case "stability window resets budget" `Quick
             test_stability_window_resets_budget;
+          Alcotest.test_case "default policy" `Quick test_default_policy;
         ] );
       ( "watchdog",
         [

@@ -343,6 +343,14 @@ let test_charge_zero_alloc_obs_on () =
 
 (* A warm granular store of the writer's own memory — translate,
    ownership lookup, charge — with metrics off and on. *)
+let test_apic_ack_zero_alloc () =
+  let apic = Apic.create () in
+  let v = ref 0 in
+  check_zero_alloc "Apic.raise_irr + ack_highest allocate nothing" (fun () ->
+      v := (!v + 1) land 0xff;
+      Apic.raise_irr apic ~vector:!v;
+      ignore (Apic.ack_highest apic))
+
 let test_store_zero_alloc () =
   let check () =
     let m = make_machine () in
@@ -526,6 +534,8 @@ let () =
             test_charge_zero_alloc_obs_on;
           Alcotest.test_case "granular stores, obs off and on" `Quick
             test_store_zero_alloc;
+          Alcotest.test_case "apic raise and ack" `Quick
+            test_apic_ack_zero_alloc;
           Alcotest.test_case "fleet shards, domains 1/2/7" `Quick
             test_fleet_sharded_zero_alloc;
           Alcotest.test_case "table create, minor heap only" `Quick
