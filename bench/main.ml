@@ -459,10 +459,17 @@ let microbenches () =
 
 (* Enclave lifecycle, the per-layer Pisces create/boot/destroy unit
    ops: floor ns and words/op only, not timed by Bechamel, whose GC
-   compaction per sample would pay for the 255-tenant node's heap.
+   compaction per sample would pay for the dense nodes' heaps.  Launch
+   and destroy touch only what the tenant owns, so their words/op must
+   not grow with the live-tenant count: [check_alloc_gate] holds the
+   [lifecycle_tenants] rows within [lifecycle_spread] of each other.
    Every launch builds two tables (the EPT Covirt prepares in the
    create hook, Kitten's direct map at boot), so [ept_create] is one of
    them: a fresh EPT mapping a 24 MiB tenant at 2M grain. *)
+let lifecycle_tenants = [ 8; 64; 512 ]
+let lifecycle_spread = 1.10
+let lifecycle_name live = Printf.sprintf "enclave_launch_destroy_%d" live
+
 let lifecycle_benches () =
   let open Covirt_hw in
   let mib = Covirt_sim.Units.mib in
@@ -474,44 +481,47 @@ let lifecycle_benches () =
           Ept.map_region e (Region.make ~base:(64 * mib) ~len:(24 * mib))) }
   in
   (* One launch and destroy of a 24 MiB, one-core tenant under mem+ipi
-     on a node with 255 live tenants (the tenant-churn shape).  The
-     node is built on the first call, so it is live only while this
-     bench runs. *)
-  let tenants = 256 in
-  let cores_per_zone = (tenants + 3) / 2 in
-  let launch node core =
-    match
-      Covirt_hobbes.Hobbes.launch_enclave node
-        ~name:(Printf.sprintf "tenant-%d" core)
-        ~cores:[ core ]
-        ~mem:[ (core / cores_per_zone, 24 * mib) ]
-        ()
-    with
-    | Ok (e, _) -> e
-    | Error m -> failwith m
-  in
-  let node =
-    lazy
-      (let node =
-         Covirt_hobbes.Hobbes.create_node ~seed:11 ~cores_per_zone
-           ~mem_mib_per_zone:((cores_per_zone * 26) + 256) ()
-       in
-       ignore
-         (Covirt.enable (Covirt_hobbes.Hobbes.pisces node)
-            ~config:Covirt.Config.mem_ipi);
-       for core = 1 to tenants - 1 do ignore (launch node core) done;
-       node)
-  in
-  let launch_destroy =
-    { mname = "enclave_launch_destroy"; gate = false; iters = 1_000;
+     on a node with [live] other live tenants.  Each node is built on
+     its bench's first call, so it is live only while that bench runs.
+     Zones are whole multiples of 512 MiB: every boot builds Kitten's
+     direct map of all node RAM, in 1G pages plus 2M pages for a
+     ragged tail (~22 words per 2M page), which would otherwise swamp
+     the per-tenant work with the node's RAM size modulo 1 GiB. *)
+  let launch_destroy live =
+    let cores_per_zone = (live + 3) / 2 in
+    let mem_mib_per_zone = ((cores_per_zone * 26) + 256 + 511) / 512 * 512 in
+    let launch node core =
+      match
+        Covirt_hobbes.Hobbes.launch_enclave node
+          ~name:(Printf.sprintf "tenant-%d" core)
+          ~cores:[ core ]
+          ~mem:[ (core / cores_per_zone, 24 * mib) ]
+          ()
+      with
+      | Ok (e, _) -> e
+      | Error m -> failwith m
+    in
+    let node =
+      lazy
+        (let node =
+           Covirt_hobbes.Hobbes.create_node ~seed:11 ~cores_per_zone
+             ~mem_mib_per_zone ()
+         in
+         ignore
+           (Covirt.enable (Covirt_hobbes.Hobbes.pisces node)
+              ~config:Covirt.Config.mem_ipi);
+         for core = 1 to live do ignore (launch node core) done;
+         node)
+    in
+    { mname = lifecycle_name live; gate = false; iters = 1_000;
       fn =
         (fun () ->
           let node = Lazy.force node in
           Covirt_pisces.Pisces.destroy
             (Covirt_hobbes.Hobbes.pisces node)
-            (launch node tenants)) }
+            (launch node (live + 1))) }
   in
-  [ ept_create; launch_destroy ]
+  ept_create :: List.map launch_destroy lifecycle_tenants
 
 (* The granular data path, whole calls, measured like the lifecycle
    benches (floor ns and words/op, not by Bechamel).  [machine_store_hit]
@@ -649,8 +659,38 @@ let measure_alloc ms =
   if not native then
     Format.printf "(bytecode backend: allocation gate not enforced)@."
 
+(* The lifecycle rows must agree within [lifecycle_spread] (largest
+   over smallest words/op); [true] when they do or were not measured. *)
+let lifecycle_spread_ok () =
+  let words =
+    List.filter_map
+      (fun n -> List.assoc_opt (lifecycle_name n) !micro_alloc)
+      lifecycle_tenants
+  in
+  let tenants = String.concat "/" (List.map string_of_int lifecycle_tenants) in
+  List.length words < List.length lifecycle_tenants
+  ||
+  let lo = List.fold_left min infinity words
+  and hi = List.fold_left max 0.0 words in
+  if hi <= lifecycle_spread *. lo then begin
+    Format.printf
+      "@.bench lifecycle gate: launch+destroy words/op within %.0f%% at %s \
+       live tenants@."
+      (100.0 *. (lifecycle_spread -. 1.0))
+      tenants;
+    true
+  end
+  else begin
+    Format.eprintf
+      "bench lifecycle gate: FAIL launch+destroy words/op at %s live tenants \
+       spread %.3fx (%.0f..%.0f), must stay within %.2fx@."
+      tenants (hi /. lo) lo hi lifecycle_spread;
+    false
+  end
+
 let check_alloc_gate () =
-  match !alloc_failures with
+  let spread_ok = lifecycle_spread_ok () in
+  (match !alloc_failures with
   | [] ->
       if !micro_alloc <> [] && native then
         Format.printf
@@ -663,8 +703,8 @@ let check_alloc_gate () =
             "bench alloc gate: FAIL %s allocates %.4f minor words/op \
              (must be 0)@."
             n w)
-        fs;
-      exit 1
+        fs);
+  if !alloc_failures <> [] || not spread_ok then exit 1
 
 let run_bechamel () =
   section "Bechamel microbenchmarks (host-side hot paths, real ns)";

@@ -26,7 +26,9 @@ type t = {
   pisces : Pisces.t;
   default_config : Config.t;
   overrides : (string, Config.t) Hashtbl.t;
-  mutable instances : (int * instance) list;
+  instances : (int, instance) Hashtbl.t;  (* live, by enclave id *)
+  grants_to : Grant_index.t;
+      (* the instances' whitelist grants, by destination core *)
   archived : (int, Fault_report.t list) Hashtbl.t;
       (* reports survive enclave destruction: they are the master
          control process's debugging record *)
@@ -37,9 +39,16 @@ type t = {
 }
 
 let pisces t = t.pisces
-let instances t = List.map snd t.instances
+(* Newest first: enclave ids are handed out in creation order. *)
+let instances t =
+  Hashtbl.fold (fun _ i acc -> i :: acc) t.instances []
+  |> List.sort (fun a b -> Int.compare b.enclave.Enclave.id a.enclave.Enclave.id)
 
-let instance_for t ~enclave_id = List.assoc_opt enclave_id t.instances
+let instance_for t ~enclave_id = Hashtbl.find_opt t.instances enclave_id
+
+let granting_instances t ~cores =
+  List.filter_map (Hashtbl.find_opt t.instances)
+    (Grant_index.holders t.grants_to ~keys:cores)
 
 let reports_for t ~enclave_id =
   match instance_for t ~enclave_id with
@@ -92,11 +101,11 @@ let record_report t (report : Fault_report.t) =
   List.iter (fun f -> f report) t.subscribers
 
 let total_flush_commands t =
-  List.fold_left
-    (fun acc (_, i) ->
+  Hashtbl.fold
+    (fun _ i acc ->
       List.fold_left (fun a (_, hv) -> a + Hypervisor.flushes hv) acc
         i.hypervisors)
-    0 t.instances
+    t.instances 0
 
 (* Shadow-sanitizer violations surface as non-fatal reports: the
    supervisor only reacts to fatal ones, so detection never perturbs
@@ -108,7 +117,7 @@ let sanitizer_report t (v : Sanitize.violation) =
     tsc = Cpu.rdtsc (Pisces.host_cpu t.pisces);
     kind = Fault_report.Sanitizer;
     fatal = false;
-    detail = lazy (Format.asprintf "%a" Sanitize.pp_violation v);
+    detail = Format.asprintf "%a" Sanitize.pp_violation v;
   }
 
 let config_for t enclave =
@@ -134,7 +143,9 @@ let on_created t enclave =
         enclave;
         config;
         ept_mgr;
-        whitelist = Whitelist.create ~enclave_cores:enclave.Enclave.cores;
+        whitelist =
+          Whitelist.create_indexed ~index:t.grants_to
+            ~holder:enclave.Enclave.id ~enclave_cores:enclave.Enclave.cores;
         hypervisors = [];
         reports = [];
       }
@@ -163,7 +174,7 @@ let on_created t enclave =
               region)
           enclave.Enclave.memory
     | None -> ());
-    t.instances <- (enclave.Enclave.id, instance) :: t.instances
+    Hashtbl.replace t.instances enclave.Enclave.id instance
   end
 
 let interpose t enclave (cpu : Cpu.t) ~bsp jump =
@@ -187,8 +198,7 @@ let interpose t enclave (cpu : Cpu.t) ~bsp jump =
       let boot_params = Vmcs_builder.covirt_boot_params ~params in
       let hv =
         Hypervisor.create ~machine ~cpu ~vmcs ~boot_params
-          ~whitelist:instance.whitelist ~config:instance.config
-          ~report:(fun r -> record_report t r)
+          ~whitelist:instance.whitelist ~report:(fun r -> record_report t r)
       in
       instance.hypervisors <- (cpu.Cpu.id, hv) :: instance.hypervisors;
       Hypervisor.launch hv;
@@ -236,11 +246,10 @@ let signal_all_cores t instance command =
                   kind = Fault_report.Queue_stall;
                   fatal = false;
                   detail =
-                    lazy
-                      (Format.asprintf
-                         "command ring on core %d still full after NMI drain \
-                          (%s); %a lost"
-                         core why Command.pp_command command);
+                    Format.asprintf
+                      "command ring on core %d still full after NMI drain \
+                       (%s); %a lost"
+                      core why Command.pp_command command;
                 }));
       Machine.post_host_nmi machine ~dest:core)
     instance.hypervisors
@@ -290,31 +299,28 @@ let on_destroyed t enclave =
         Hashtbl.replace t.archived enclave.Enclave.id i.reports;
       let drops = Whitelist.dropped i.whitelist in
       if drops <> 0 then
-        Hashtbl.replace t.archived_drops enclave.Enclave.id drops
+        Hashtbl.replace t.archived_drops enclave.Enclave.id drops;
+      Whitelist.retire i.whitelist;
+      Hashtbl.remove t.instances enclave.Enclave.id
   | None -> ());
-  t.instances <-
-    List.filter (fun (id, _) -> id <> enclave.Enclave.id) t.instances;
   if !Sanitize.on then Sanitize.drop_enclave ~id:enclave.Enclave.id;
   (* Grants aimed at the dead enclave's cores are stale the moment
      those cores return to the host; prune them from every surviving
      instance so the static verifier's stale-grant check starts from a
-     clean slate. *)
+     clean slate.  Only the instances the index names are visited. *)
   let dead = enclave.Enclave.cores in
   List.iter
-    (fun (_, inst) ->
+    (fun inst ->
       let stale =
         List.filter
           (fun (_, d) -> List.mem d dead)
           (Whitelist.grants inst.whitelist)
       in
-      if stale <> [] then begin
-        List.iter
-          (fun (vector, dest) ->
-            Whitelist.revoke ~dest inst.whitelist ~vector)
-          stale;
-        signal_all_cores t inst Command.Whitelist_updated
-      end)
-    t.instances
+      List.iter
+        (fun (vector, dest) -> Whitelist.revoke ~dest inst.whitelist ~vector)
+        stale;
+      signal_all_cores t inst Command.Whitelist_updated)
+    (granting_instances t ~cores:dead)
 
 (* ------------------------------------------------------------------ *)
 
@@ -327,7 +333,8 @@ let attach pisces ~config =
       pisces;
       default_config = config;
       overrides = Hashtbl.create 4;
-      instances = [];
+      instances = Hashtbl.create 16;
+      grants_to = Grant_index.create ();
       archived = Hashtbl.create 4;
       archived_drops = Hashtbl.create 4;
       subscribers = [];
@@ -393,5 +400,5 @@ let detach t =
       t.registered <- None);
   (* No grant state may outlive the controller that installed it —
      the verifier's stale-grant check starts clean after a detach. *)
-  List.iter (fun (_, inst) -> Whitelist.clear inst.whitelist) t.instances;
+  Hashtbl.iter (fun _ inst -> Whitelist.clear inst.whitelist) t.instances;
   Hooks.clear_boot_interposer hooks

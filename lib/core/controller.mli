@@ -57,7 +57,17 @@ val record_report : t -> Fault_report.t -> unit
 
 val pisces : t -> Pisces.t
 val instances : t -> instance list
+(** Live instances, newest first. *)
+
 val instance_for : t -> enclave_id:int -> instance option
+
+val granting_instances : t -> cores:int list -> instance list
+(** The live instances whose whitelists hold a grant towards one of
+    [cores], newest first — every grant, also one installed on a
+    whitelist directly.  Read from an index the whitelists keep, so the
+    destroy-time prune of grants aimed at a dead enclave's cores costs
+    O(the instances found), not O(live instances). *)
+
 val reports_for : t -> enclave_id:int -> Fault_report.t list
 
 (** Dropped-IPI count for a live enclave, or the archived count for a

@@ -14,7 +14,7 @@ type t = {
   tsc : int;
   kind : kind;
   fatal : bool;
-  detail : string Lazy.t;
+  detail : string;
 }
 
 let kind_name = function
@@ -31,4 +31,4 @@ let pp ppf t =
   Format.fprintf ppf "[tsc %d] enclave %d cpu %d %s%s: %s" t.tsc t.enclave
     t.cpu (kind_name t.kind)
     (if t.fatal then " (fatal)" else " (dropped)")
-    (Lazy.force t.detail)
+    t.detail

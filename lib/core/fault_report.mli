@@ -28,13 +28,11 @@ type t = {
   tsc : int;
   kind : kind;
   fatal : bool;  (** true when the enclave was terminated *)
-  detail : string Lazy.t;
-      (** human-readable cause; the hypervisor forces it when it
-          writes the report into the machine trace *)
+  detail : string;  (** human-readable cause *)
 }
 
 val kind_name : kind -> string
 (** Stable short name of the report kind (["memory-violation"], ...). *)
 
 val pp : Format.formatter -> t -> unit
-(** Full rendering; forces [detail]. *)
+(** Full rendering. *)

@@ -7,20 +7,18 @@ type t = {
   vmcs : Vmcs.t;
   boot_params : Boot_params.covirt;
   whitelist : Whitelist.t;
-  config : Config.t;
   report : Fault_report.t -> unit;
   queue : Command.queue;
   mutable flushes : int;
 }
 
-let create ~machine ~cpu ~vmcs ~boot_params ~whitelist ~config ~report =
+let create ~machine ~cpu ~vmcs ~boot_params ~whitelist ~report =
   {
     machine;
     cpu;
     vmcs;
     boot_params;
     whitelist;
-    config;
     report;
     queue = Command.create_queue ();
     flushes = 0;
@@ -40,7 +38,7 @@ let make_report t ~kind ~fatal detail =
   in
   Covirt_sim.Trace.recordf t.machine.Machine.trace ~tsc:(Cpu.rdtsc t.cpu)
     ~cpu:t.cpu.Cpu.id ~severity "covirt %s: %s" (Fault_report.kind_name kind)
-    (Lazy.force detail);
+    detail;
   {
     Fault_report.enclave = t.vmcs.Vmcs.enclave;
     cpu = t.cpu.Cpu.id;
@@ -109,16 +107,15 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
   match reason with
   | Vmcs.Ept_violation v ->
       let detail =
-        lazy
-          (Format.asprintf "EPT %s violation at gpa %a"
-             (match v.Ept.access with
-             | `Read -> "read"
-             | `Write -> "write"
-             | `Exec -> "exec")
-             Addr.pp v.Ept.gpa)
+        Format.asprintf "EPT %s violation at gpa %a"
+          (match v.Ept.access with
+          | `Read -> "read"
+          | `Write -> "write"
+          | `Exec -> "exec")
+          Addr.pp v.Ept.gpa
       in
       t.report (make_report t ~kind:Fault_report.Memory_violation ~fatal:true detail);
-      Vmcs.Kill { reason = Lazy.force detail }
+      Vmcs.Kill { reason = detail }
   | Vmcs.Icr_write icr ->
       Cpu.charge t.cpu t.machine.Machine.model.Cost_model.icr_whitelist_check;
       if Whitelist.permits t.whitelist ~icr then begin
@@ -130,15 +127,15 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
         if !Covirt_obs.Metrics.on then obs_incr t m_ipi "dropped";
         t.report
           (make_report t ~kind:Fault_report.Errant_ipi ~fatal:false
-             (lazy (Format.asprintf "dropped %a" Apic.pp_icr icr)));
+             (Format.asprintf "dropped %a" Apic.pp_icr icr));
         Vmcs.Skip
       end
   | Vmcs.Msr_access { msr; write; _ } ->
       if write then begin
-        let detail = lazy (Format.asprintf "write to protected MSR 0x%x" msr) in
+        let detail = Format.asprintf "write to protected MSR 0x%x" msr in
         t.report
           (make_report t ~kind:Fault_report.Msr_violation ~fatal:true detail);
-        Vmcs.Kill { reason = Lazy.force detail }
+        Vmcs.Kill { reason = detail }
       end
       else begin
         (* Protected reads are emulated from the live register file. *)
@@ -148,17 +145,15 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
       end
   | Vmcs.Io_access { port; write; _ } ->
       if write then begin
-        let detail =
-          lazy (Format.asprintf "write to protected I/O port 0x%x" port)
-        in
+        let detail = Format.asprintf "write to protected I/O port 0x%x" port in
         t.report
           (make_report t ~kind:Fault_report.Io_violation ~fatal:true detail);
-        Vmcs.Kill { reason = Lazy.force detail }
+        Vmcs.Kill { reason = detail }
       end
       else begin
         t.report
           (make_report t ~kind:Fault_report.Io_violation ~fatal:false
-             (lazy (Format.asprintf "suppressed read of protected port 0x%x" port)));
+             (Format.asprintf "suppressed read of protected port 0x%x" port));
         Vmcs.Skip
       end
   | Vmcs.Cpuid | Vmcs.Xsetbv ->
@@ -178,10 +173,10 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
         Vmcs.Kill { reason = "halted by controller" }
       else Vmcs.Skip
   | Vmcs.Abort { what } ->
-      let detail = lazy (Format.asprintf "abort-class exception: %s" what) in
+      let detail = Format.asprintf "abort-class exception: %s" what in
       t.report
         (make_report t ~kind:Fault_report.Abort_fault ~fatal:true detail);
-      Vmcs.Kill { reason = Lazy.force detail }
+      Vmcs.Kill { reason = detail }
 
 let launch t =
   (* The execution context is minimal: a preallocated stack, no

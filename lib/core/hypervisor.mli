@@ -20,7 +20,6 @@ val create :
   vmcs:Vmcs.t ->
   boot_params:Boot_params.covirt ->
   whitelist:Whitelist.t ->
-  config:Config.t ->
   report:(Fault_report.t -> unit) ->
   t
 

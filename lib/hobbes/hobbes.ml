@@ -47,7 +47,12 @@ let free_ipi_vector t v =
      reclaimed through the proper XEMEM path (live attachers are
      notified and unmapped — the war-story bug done right), and the
      enclave is dropped from the attacher lists of surviving
-     segments. *)
+     segments.
+   Each step reads an index (grants by destination core and by vector
+   in Pisces, segments by enclave in the name service), so the scrub
+   costs O(what the dead enclave owns and what aims at it), not
+   O(live enclaves); it visits survivors newest first and segments by
+   ascending segid, the order a scan of the registries would. *)
 let scrub_on_destroy t (enclave : Enclave.t) =
   let id = enclave.Enclave.id in
   Hashtbl.remove t.kernels id;
@@ -61,10 +66,8 @@ let scrub_on_destroy t (enclave : Enclave.t) =
   let dead_cores = enclave.Enclave.cores in
   let still_granted v =
     List.exists
-      (fun (e : Enclave.t) ->
-        e.Enclave.id <> id
-        && List.exists (fun (v', _) -> v' = v) e.Enclave.granted_vectors)
-      (Pisces.enclaves t.pisces)
+      (fun (e : Enclave.t) -> e.Enclave.id <> id)
+      (Pisces.vector_grantors t.pisces ~vector:v)
   in
   List.iter
     (fun (peer : Enclave.t) ->
@@ -81,28 +84,27 @@ let scrub_on_destroy t (enclave : Enclave.t) =
               then free_ipi_vector t v
             end)
           peer.Enclave.granted_vectors)
-    (Pisces.enclaves t.pisces);
+    (Pisces.grantors_to t.pisces ~cores:dead_cores);
   let registry = Covirt_xemem.Xemem.registry t.xemem in
   List.iter
-    (fun (seg : Covirt_xemem.Name_service.segment) ->
-      match seg.Covirt_xemem.Name_service.exporter with
-      | Covirt_xemem.Name_service.Enclave_export e when e = id -> (
-          match
-            Covirt_xemem.Xemem.reclaim_export t.xemem
-              ~name:seg.Covirt_xemem.Name_service.name ()
-          with
-          | Ok () -> ()
-          | Error _ ->
-              (* An attacher refused the unmap (e.g. it is mid-crash
-                 itself); the record must still not outlive its
-                 exporter. *)
-              Covirt_xemem.Name_service.remove registry
-                ~segid:seg.Covirt_xemem.Name_service.segid)
-      | _ ->
-          if List.mem id seg.Covirt_xemem.Name_service.attachers then
-            Covirt_xemem.Name_service.note_detach registry
-              ~segid:seg.Covirt_xemem.Name_service.segid ~enclave:id)
-    (Covirt_xemem.Name_service.segments registry)
+    (fun segid ->
+      match Covirt_xemem.Name_service.lookup_segid registry ~segid with
+      | None -> ()
+      | Some seg -> (
+          match seg.Covirt_xemem.Name_service.exporter with
+          | Covirt_xemem.Name_service.Enclave_export e when e = id -> (
+              match
+                Covirt_xemem.Xemem.reclaim_export t.xemem
+                  ~name:seg.Covirt_xemem.Name_service.name ()
+              with
+              | Ok () -> ()
+              | Error _ ->
+                  (* An attacher refused the unmap (e.g. it is mid-crash
+                     itself); the record must still not outlive its
+                     exporter. *)
+                  Covirt_xemem.Name_service.remove registry ~segid)
+          | _ -> Covirt_xemem.Name_service.note_detach registry ~segid ~enclave:id))
+    (Covirt_xemem.Name_service.segids_of registry ~enclave:id)
 
 let create machine ~host_core =
   let pisces = Pisces.create machine ~host_core in

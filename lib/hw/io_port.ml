@@ -1,12 +1,7 @@
-type t = (int, int) Hashtbl.t
-
 let pic_master_cmd = 0x20
 let pit_channel0 = 0x40
 let serial_com1 = 0x3f8
 let reset_port = 0xcf9
-
-let create () = Hashtbl.create 16
-let write t port v = Hashtbl.replace t port (v land 0xff)
 
 module Bitmap = struct
   type t = Bytes.t (* 65536 ports, one bit each *)

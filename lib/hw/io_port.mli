@@ -5,16 +5,11 @@
     I/O protection points the VMCS at a port bitmap so guest port
     accesses trap. *)
 
-type t
-
 val pit_channel0 : int
 val serial_com1 : int
 val reset_port : int
 (** Port 0xCF9 — writing 0x6 here hard-resets the node; the canonical
     catastrophic port fault. *)
-
-val create : unit -> t
-val write : t -> int -> int -> unit
 
 module Bitmap : sig
   type t

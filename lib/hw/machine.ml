@@ -9,7 +9,6 @@ type t = {
   mem : Phys_mem.t;
   cores : Cpu.t array;
   msrs : Msr.t;
-  ports : Io_port.t;
   trace : Covirt_sim.Trace.t;
   rng : Covirt_sim.Rng.t;
   corrupted : (int, string) Hashtbl.t;
@@ -40,7 +39,6 @@ let create ?(model = Cost_model.default) ?(seed = 42)
     mem = Phys_mem.create ~topology ~host_reserved_per_zone;
     cores;
     msrs = Msr.create ();
-    ports = Io_port.create ();
     trace = Covirt_sim.Trace.create ();
     rng;
     corrupted = Hashtbl.create 8;
@@ -473,8 +471,7 @@ let outb t (cpu : Cpu.t) port value =
         Vmx.deliver_exit ~model:t.model cpu vmcs
           (Vmcs.Io_access { port; write = true; value })
       with
-      | `Resume -> Io_port.write t.ports port value
-      | `Skip -> ())
+      | `Resume | `Skip -> ())
   | Cpu.Guest_mode _ | Cpu.Host_mode ->
       Cpu.charge cpu 200;
       if
@@ -485,7 +482,6 @@ let outb t (cpu : Cpu.t) port value =
         panic t cpu
           (Format.asprintf "%a hard-reset the node via port 0xCF9" Owner.pp
              cpu.Cpu.owner)
-      else Io_port.write t.ports port value
 
 let emulated_instruction t (cpu : Cpu.t) reason =
   (* cpuid/xsetbv exit unconditionally in VMX non-root mode. *)

@@ -41,7 +41,6 @@ type t = {
   mem : Phys_mem.t;
   cores : Cpu.t array;
   msrs : Msr.t;
-  ports : Io_port.t;
   trace : Covirt_sim.Trace.t;
   rng : Covirt_sim.Rng.t;
   corrupted : (int, string) Hashtbl.t;  (** enclave id -> cause *)

@@ -32,7 +32,9 @@ val assign : t -> owner:Owner.t -> Region.t -> (unit, string) result
 (** Explicitly assign a free region (must be entirely free). *)
 
 val release : t -> Region.t -> unit
-(** Return a region to the free pool, whoever owned it. *)
+(** Return a region to the free pool, whoever owned it.  Finds the
+    assignments it overlaps through an index by base address:
+    O(log assignments + overlaps), not a pass over every owner's. *)
 
 val owner_at : t -> Addr.t -> Owner.t
 (** Device MMIO windows report [Device]; out-of-range addresses are
@@ -60,7 +62,7 @@ val find_device : t -> name:string -> Region.t option
 val chown : t -> Region.t -> Owner.t -> unit
 (** Transfer ownership of a region unconditionally (device
     delegation / reclamation — the framework has already validated the
-    operation). *)
+    operation).  Indexed like {!release}. *)
 
 val mmio_base : t -> Addr.t
 val pp : Format.formatter -> t -> unit

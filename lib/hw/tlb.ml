@@ -14,7 +14,6 @@ type bank = {
 }
 
 type t = {
-  model : Cost_model.t;
   b4k : bank;
   b2m : bank;
   b1g : bank;
@@ -37,7 +36,6 @@ let create ~model ~rng:_ =
      to pick a random victim; pseudo-LRU is deterministic and draws
      nothing. *)
   {
-    model;
     b4k = make_bank Cost_model.(model.dtlb_entries_4k);
     b2m = make_bank Cost_model.(model.dtlb_entries_2m);
     b1g = make_bank Cost_model.(model.dtlb_entries_1g);

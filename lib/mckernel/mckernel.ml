@@ -67,9 +67,7 @@ let boot_core_body instance_ref machine enclave (cpu : Cpu.t) ~bsp params =
         believed;
         heap_free = heap;
         proxy =
-          Proxy.create machine
-            ~host_cpu:(Machine.cpu machine 0)
-            ~enclave_id:enclave.Enclave.id;
+          Proxy.create machine ~host_cpu:(Machine.cpu machine 0);
         delegated = 0;
       }
     in

@@ -3,17 +3,15 @@ open Covirt_hw
 type t = {
   machine : Machine.t;
   host_cpu : Cpu.t;
-  enclave_id : int;
   mutable mirrored : Region.Set.t;
   mutable delegations : int;
   mutable faults : int;
 }
 
-let create machine ~host_cpu ~enclave_id =
+let create machine ~host_cpu =
   {
     machine;
     host_cpu;
-    enclave_id;
     mirrored = Region.Set.empty;
     delegations = 0;
     faults = 0;

@@ -18,7 +18,7 @@ open Covirt_hw
 
 type t
 
-val create : Machine.t -> host_cpu:Cpu.t -> enclave_id:int -> t
+val create : Machine.t -> host_cpu:Cpu.t -> t
 
 val mirror : t -> Region.t -> unit
 (** Replicate an application region into the proxy's address space

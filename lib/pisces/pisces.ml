@@ -12,7 +12,9 @@ type t = {
   machine : Machine.t;
   host_core : int;
   hooks : Hooks.t;
-  mutable enclaves : Enclave.t list;
+  live : (int, Enclave.t) Hashtbl.t;  (* the live registry, by id *)
+  grants_to : Grant_index.t;  (* destination core -> live grantors *)
+  grants_of : Grant_index.t;  (* vector -> live grantors *)
   mutable next_id : int;
   mutable syscall_handler : (number:int -> arg:int -> int) option;
 }
@@ -24,7 +26,9 @@ let create machine ~host_core =
     machine;
     host_core;
     hooks = Hooks.create ();
-    enclaves = [];
+    live = Hashtbl.create 16;
+    grants_to = Grant_index.create ();
+    grants_of = Grant_index.create ();
     next_id = 1;
     syscall_handler = None;
   }
@@ -38,8 +42,27 @@ let host_tsc t = t.machine.Machine.cores.(t.host_core).Cpu.tsc
 let core_tsc t core = t.machine.Machine.cores.(core).Cpu.tsc
 let tsc_ghz t = t.machine.Machine.model.Cost_model.ghz
 let hooks t = t.hooks
-let enclaves t = t.enclaves
-let find_enclave t id = List.find_opt (fun e -> e.Enclave.id = id) t.enclaves
+let find_enclave t id = Hashtbl.find_opt t.live id
+
+(* Ids are handed out in creation order, so highest id first is newest
+   first. *)
+let enclaves t =
+  Hashtbl.fold (fun _ e acc -> e :: acc) t.live []
+  |> List.sort (fun a b -> Int.compare b.Enclave.id a.Enclave.id)
+
+let live_of t ids = List.filter_map (find_enclave t) ids
+let grantors_to t ~cores = live_of t (Grant_index.holders t.grants_to ~keys:cores)
+
+let vector_grantors t ~vector =
+  live_of t (Grant_index.holders t.grants_of ~keys:[ vector ])
+
+let index_grant t enclave (vector, dest) =
+  Grant_index.add t.grants_to ~key:dest ~holder:enclave.Enclave.id;
+  Grant_index.add t.grants_of ~key:vector ~holder:enclave.Enclave.id
+
+let unindex_grant t enclave (vector, dest) =
+  Grant_index.remove t.grants_to ~key:dest ~holder:enclave.Enclave.id;
+  Grant_index.remove t.grants_of ~key:vector ~holder:enclave.Enclave.id
 
 let trace t fmt =
   let cpu = host_cpu t in
@@ -90,7 +113,7 @@ let create_enclave t ~name ~cores ~mem ?(timer_hz = 10.0) () =
           t.next_id <- t.next_id + 1;
           enclave.Enclave.memory <- Region.Set.of_list regions;
           enclave.Enclave.timer_hz <- timer_hz;
-          t.enclaves <- enclave :: t.enclaves;
+          Hashtbl.replace t.live id enclave;
           trace t "created enclave %d (%s)" id name;
           Hooks.fire t.hooks.Hooks.on_enclave_created enclave;
           Ok enclave)
@@ -340,6 +363,7 @@ let grant_ipi_vector t enclave ~vector ~peer_core =
     | Ok () ->
         enclave.Enclave.granted_vectors <-
           (vector, peer_core) :: enclave.Enclave.granted_vectors;
+        index_grant t enclave (vector, peer_core);
         Ok ()
     | Error e -> Error e
   end
@@ -354,12 +378,15 @@ let revoke_ipi_vector ?peer_core t enclave ~vector =
         ~seq
     with
     | Ok () ->
-        enclave.Enclave.granted_vectors <-
-          List.filter
+        let keep, revoked =
+          List.partition
             (fun (v, d) ->
               v <> vector
               || match peer_core with Some pc -> d <> pc | None -> false)
-            enclave.Enclave.granted_vectors;
+            enclave.Enclave.granted_vectors
+        in
+        enclave.Enclave.granted_vectors <- keep;
+        List.iter (unindex_grant t enclave) revoked;
         List.iter
           (fun f -> f enclave ~vector ~dest:peer_core)
           t.hooks.Hooks.post_vector_revoke;
@@ -420,6 +447,7 @@ let release_resources t enclave =
   (* Per-vector grant state must not outlive the enclave: a dead
      enclave with live grants is exactly the stale-grant violation the
      static verifier hunts. *)
+  List.iter (unindex_grant t enclave) enclave.Enclave.granted_vectors;
   enclave.Enclave.granted_vectors <- [];
   List.iter
     (fun core ->
@@ -436,14 +464,11 @@ let release_resources t enclave =
       Apic.set_timer_hz cpu.Cpu.apic 0.0)
     enclave.Enclave.cores
 
-(* The registry must hold live enclaves only: with thousands of
-   tenants cycling through create/destroy, a grow-only list makes
-   [find_enclave] O(everything that ever existed) and is itself a
-   monotonic leak.  The caller's [Enclave.t] record stays valid (state
-   records the outcome); it just no longer appears in [enclaves]. *)
-let forget t enclave =
-  t.enclaves <-
-    List.filter (fun e -> e.Enclave.id <> enclave.Enclave.id) t.enclaves
+(* The registry holds live enclaves only: with thousands of tenants
+   cycling through create/destroy, a grow-only registry is a monotonic
+   leak.  The caller's [Enclave.t] record stays valid (state records
+   the outcome); it just no longer appears in [enclaves]. *)
+let forget t enclave = Hashtbl.remove t.live enclave.Enclave.id
 
 let destroy t enclave =
   (if Enclave.is_running enclave then

@@ -50,7 +50,17 @@ val enclaves : t -> Enclave.t list
     thousands of tenants must not grow this list monotonically. *)
 
 val find_enclave : t -> int -> Enclave.t option
-(** Live enclaves only; [None] once destroyed or reclaimed. *)
+(** Live enclaves only; [None] once destroyed or reclaimed.  O(1). *)
+
+val grantors_to : t -> cores:int list -> Enclave.t list
+(** The live enclaves holding an IPI-vector grant whose destination is
+    one of [cores], newest first.  Read from an index that
+    {!grant_ipi_vector}, {!revoke_ipi_vector} and teardown keep, so the
+    cost is O(the grantors found), not O(live enclaves). *)
+
+val vector_grantors : t -> vector:int -> Enclave.t list
+(** The live enclaves holding a grant of [vector] to any destination,
+    newest first; indexed like {!grantors_to}. *)
 
 val create_enclave :
   t ->

@@ -277,7 +277,7 @@ let run_protected t ~name f =
                     Format.asprintf "%s on cpu %d (%s)"
                       (Covirt.Fault_report.kind_name r.Covirt.Fault_report.kind)
                       r.Covirt.Fault_report.cpu
-                      (Lazy.force r.Covirt.Fault_report.detail)
+                      r.Covirt.Fault_report.detail
                 | None -> crash.Pisces.reason
               in
               push t m (Fault_detected cause);
@@ -300,7 +300,7 @@ let escalate_wedged t ~name ~detail =
           tsc = now t;
           kind = Covirt.Fault_report.Watchdog_timeout;
           fatal = true;
-          detail = Lazy.from_val detail;
+          detail;
         };
       push t m (Wedge_detected detail);
       teardown_wedged t enclave ~reason:("watchdog: " ^ detail);

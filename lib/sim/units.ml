@@ -4,7 +4,6 @@ let gib = 1024 * 1024 * 1024
 
 let cycles_to_seconds ~ghz c = float_of_int c /. (ghz *. 1e9)
 let cycles_to_us ~ghz c = float_of_int c /. (ghz *. 1e3)
-let cycles_to_ns ~ghz c = float_of_int c /. ghz
 let seconds_to_cycles ~ghz s = int_of_float (s *. ghz *. 1e9)
 let bytes_per_sec_to_mb_s b = b /. 1e6
 

@@ -10,7 +10,6 @@ val gib : int
 
 val cycles_to_seconds : ghz:float -> int -> float
 val cycles_to_us : ghz:float -> int -> float
-val cycles_to_ns : ghz:float -> int -> float
 val seconds_to_cycles : ghz:float -> float -> int
 
 val bytes_per_sec_to_mb_s : float -> float

@@ -25,9 +25,6 @@ type result = {
   converged : bool;
 }
 
-val default_nominal_dim : int
-(** 104 (the paper's "104 104 104" local grid). *)
-
 val run :
   Kitten.context list ->
   ?nominal_dim:int ->
@@ -35,7 +32,8 @@ val run :
   ?iterations:int ->
   unit ->
   (result, string) Stdlib.result
-(** [real_dim] (default 20) sizes the grid the arithmetic actually
+(** [nominal_dim] defaults to 104 (the paper's "104 104 104" local
+    grid).  [real_dim] (default 20) sizes the grid the arithmetic actually
     runs on; [iterations] defaults to 50 CG steps.  A CG iteration of
     that arithmetic allocates nothing: the V-cycle's work grids are made
     once per solve. *)

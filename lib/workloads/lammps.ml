@@ -362,7 +362,6 @@ end
 type profile = {
   neighbor_gathers : int;  (** irregular neighbour-position loads *)
   gather_ws_bytes : int;  (** working set those gathers wander over *)
-  stream_bytes : int;  (** position/force streaming *)
   pair_flops : int;
   rebuild_every : int;  (** neighbour-list rebuild period (steps) *)
   rebuild_gathers : int;  (** per atom at each rebuild *)
@@ -376,7 +375,6 @@ let profile_of = function
       {
         neighbor_gathers = 6;
         gather_ws_bytes = 3 * mib;
-        stream_bytes = 200;
         pair_flops = 55 * 8;
         rebuild_every = 20;
         rebuild_gathers = 12;
@@ -386,7 +384,6 @@ let profile_of = function
       {
         neighbor_gathers = 10;
         gather_ws_bytes = 6 * mib;
-        stream_bytes = 320;
         pair_flops = 90 * 8;
         rebuild_every = 20;
         rebuild_gathers = 12;
@@ -396,7 +393,6 @@ let profile_of = function
       {
         neighbor_gathers = 3;
         gather_ws_bytes = 2 * mib;
-        stream_bytes = 150;
         pair_flops = 30 * 8;
         rebuild_every = 25;
         rebuild_gathers = 8;
@@ -408,7 +404,6 @@ let profile_of = function
            of MB and the pour makes atoms cross cells constantly *)
         neighbor_gathers = 10;
         gather_ws_bytes = 192 * mib;
-        stream_bytes = 220;
         pair_flops = 40 * 8;
         rebuild_every = 4;
         rebuild_gathers = 40;

@@ -25,9 +25,6 @@ type result = {
   final_residual : float;
 }
 
-val default_nominal_dim : int
-(** 250. *)
-
 val run :
   Kitten.context list ->
   ?nominal_dim:int ->
@@ -35,3 +32,4 @@ val run :
   ?iterations:int ->
   unit ->
   (result, string) Stdlib.result
+(** [nominal_dim] defaults to 250. *)

@@ -13,11 +13,38 @@ type segment = {
 type t = {
   by_name : (string, segment) Hashtbl.t;
   by_segid : (int, segment) Hashtbl.t;
+  by_enclave : (int, int list) Hashtbl.t;
+      (* enclave -> segids it exports or is attached to, each once *)
   mutable next_segid : int;
 }
 
 let create () =
-  { by_name = Hashtbl.create 16; by_segid = Hashtbl.create 16; next_segid = 0x100 }
+  {
+    by_name = Hashtbl.create 16;
+    by_segid = Hashtbl.create 16;
+    by_enclave = Hashtbl.create 16;
+    next_segid = 0x100;
+  }
+
+let involves s enclave =
+  s.exporter = Enclave_export enclave || List.mem enclave s.attachers
+
+let segids_of t ~enclave =
+  List.sort Int.compare
+    (Option.value ~default:[] (Hashtbl.find_opt t.by_enclave enclave))
+
+let index t enclave segid =
+  let segids = Option.value ~default:[] (Hashtbl.find_opt t.by_enclave enclave) in
+  if not (List.mem segid segids) then
+    Hashtbl.replace t.by_enclave enclave (segid :: segids)
+
+let unindex t enclave segid =
+  match Hashtbl.find_opt t.by_enclave enclave with
+  | None -> ()
+  | Some segids -> (
+      match List.filter (( <> ) segid) segids with
+      | [] -> Hashtbl.remove t.by_enclave enclave
+      | rest -> Hashtbl.replace t.by_enclave enclave rest)
 
 let aligned r =
   Addr.is_aligned r.Region.base ~size:Addr.page_size_4k
@@ -35,6 +62,9 @@ let register t ~name ~exporter ~pages =
     let segment = { segid; name; exporter; pages; attachers = [] } in
     Hashtbl.replace t.by_name name segment;
     Hashtbl.replace t.by_segid segid segment;
+    (match exporter with
+    | Enclave_export e -> index t e segid
+    | Host_export -> ());
     Ok segment
   end
 
@@ -43,29 +73,36 @@ let lookup t ~name = Hashtbl.find_opt t.by_name name
 let regions_for t ~enclave =
   Hashtbl.fold
     (fun _ s acc ->
-      if
-        s.exporter = Enclave_export enclave || List.mem enclave s.attachers
-      then List.fold_left Region.Set.add acc s.pages
+      if involves s enclave then List.fold_left Region.Set.add acc s.pages
       else acc)
     t.by_segid Region.Set.empty
 let lookup_segid t ~segid = Hashtbl.find_opt t.by_segid segid
 
 let note_attach t ~segid ~enclave =
   match lookup_segid t ~segid with
-  | Some s -> if not (List.mem enclave s.attachers) then
-        s.attachers <- enclave :: s.attachers
+  | Some s ->
+      if not (List.mem enclave s.attachers) then begin
+        s.attachers <- enclave :: s.attachers;
+        index t enclave segid
+      end
   | None -> ()
 
 let note_detach t ~segid ~enclave =
   match lookup_segid t ~segid with
-  | Some s -> s.attachers <- List.filter (( <> ) enclave) s.attachers
+  | Some s ->
+      s.attachers <- List.filter (( <> ) enclave) s.attachers;
+      if not (involves s enclave) then unindex t enclave segid
   | None -> ()
 
 let remove t ~segid =
   match lookup_segid t ~segid with
   | Some s ->
       Hashtbl.remove t.by_name s.name;
-      Hashtbl.remove t.by_segid segid
+      Hashtbl.remove t.by_segid segid;
+      (match s.exporter with
+      | Enclave_export e -> unindex t e segid
+      | Host_export -> ());
+      List.iter (fun e -> unindex t e segid) s.attachers
   | None -> ()
 
 let segments t =

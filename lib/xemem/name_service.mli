@@ -10,12 +10,14 @@ open Covirt_hw
 
 type exporter = Host_export | Enclave_export of int
 
-type segment = {
+type segment = private {
   segid : int;
   name : string;
   exporter : exporter;
   pages : Region.t list;
-  mutable attachers : int list;  (** enclave ids currently attached *)
+  mutable attachers : int list;
+      (** enclave ids currently attached; change it only through
+          {!note_attach}/{!note_detach}, which keep {!segids_of} *)
 }
 
 type t
@@ -34,6 +36,12 @@ val regions_for : t -> enclave:int -> Covirt_hw.Region.Set.t
 (** Every frame of every live segment the enclave exported or is
     attached to — the registered-share closure the static verifier
     treats as legitimately cross-owner. *)
+
+val segids_of : t -> enclave:int -> int list
+(** The segids of the live segments [enclave] exports or is attached
+    to, ascending.  Indexed: O(the enclave's own segments), whatever
+    the registry holds — what teardown reads instead of scanning every
+    segment. *)
 
 val lookup_segid : t -> segid:int -> segment option
 val note_attach : t -> segid:int -> enclave:int -> unit

@@ -157,6 +157,107 @@ let prop_phys_mem_conservation =
       in
       mid = free0 - allocated_bytes && fin = free0)
 
+(* The ownership map as a newest-first list, each change a pass over
+   every assignment: the implementation [Phys_mem] replaced with an
+   index by base address, kept as the oracle for its answers and for
+   [snapshot]'s order. *)
+module List_mem = struct
+  let cut l region =
+    let keep, cut =
+      List.partition (fun (r, _) -> not (Region.overlaps r region)) l
+    in
+    let remnants =
+      List.concat_map
+        (fun (r, o) ->
+          Region.Set.to_list (Region.Set.remove (Region.Set.of_list [ r ]) region)
+          |> List.map (fun r -> (r, o)))
+        cut
+    in
+    (remnants, keep)
+
+  let release l region =
+    let remnants, keep = cut l region in
+    remnants @ keep
+
+  let chown l region owner =
+    let remnants, keep = cut l region in
+    ((region, owner) :: remnants) @ keep
+
+  let owner_at l ~mmio_base addr =
+    match List.find_opt (fun (r, _) -> Region.contains r addr) l with
+    | Some (_, o) -> o
+    | None -> if addr >= mmio_base then Owner.Device "unmapped-mmio" else Owner.Free
+end
+
+let prop_phys_mem_matches_list_model =
+  Helpers.qtest ~count:150 "indexed map equals the list model"
+    QCheck2.Gen.(
+      list_size (int_range 1 40)
+        (triple (int_range 0 4) (int_range 0 100_000) (int_range 1 64)))
+    (fun ops ->
+      let topology =
+        Numa.create ~zones:2 ~cores_per_zone:2 ~mem_per_zone:(256 * mib)
+      in
+      let mem = Phys_mem.create ~topology ~host_reserved_per_zone:(16 * mib) in
+      let model = ref (Phys_mem.snapshot mem) in
+      let total = Numa.total_mem topology in
+      let page = Addr.page_size_4k in
+      (* a 4K-aligned range of [pages] pages somewhere in (or just
+         above) RAM: it may cover several assignments, part of one, or
+         free space *)
+      let range at pages =
+        Region.make ~base:(at * page mod (total + (8 * mib))) ~len:(pages * page * 64)
+      in
+      let devices = ref 0 in
+      List.iteri
+        (fun i (op, at, n) ->
+          (match op with
+          | 0 -> (
+              match
+                Phys_mem.alloc mem ~owner:(Owner.Enclave (i mod 5)) ~zone:(at mod 2)
+                  ~len:(n * mib / 2)
+              with
+              | Ok r -> model := (r, Owner.Enclave (i mod 5)) :: !model
+              | Error _ -> ())
+          | 1 ->
+              let r = range at n in
+              Phys_mem.release mem r;
+              model := List_mem.release !model r
+          | 2 -> (
+              (* release exactly one current assignment *)
+              match !model with
+              | [] -> ()
+              | l ->
+                  let r, _ = List.nth l (at mod List.length l) in
+                  Phys_mem.release mem r;
+                  model := List_mem.release !model r)
+          | 3 ->
+              let r = range at n and o = Owner.Enclave (n mod 5) in
+              Phys_mem.chown mem r o;
+              model := List_mem.chown !model r o
+          | _ ->
+              incr devices;
+              let name = Printf.sprintf "dev%d" !devices in
+              let r = Phys_mem.add_device mem ~name ~len:(n * page) in
+              model := (r, Owner.Device name) :: !model);
+          if Phys_mem.snapshot mem <> !model then
+            QCheck2.Test.fail_reportf "op %d: snapshot differs from the model" i;
+          let mmio_base = Phys_mem.mmio_base mem in
+          List.iter
+            (fun (r, _) ->
+              List.iter
+                (fun addr ->
+                  if
+                    not
+                      (Owner.equal (Phys_mem.owner_at mem addr)
+                         (List_mem.owner_at !model ~mmio_base addr))
+                  then
+                    QCheck2.Test.fail_reportf "op %d: owner_at 0x%x differs" i addr)
+                [ r.Region.base - 1; r.Region.base; Region.last r; Region.limit r ])
+            !model)
+        ops;
+      true)
+
 let prop_phys_mem_alloc_disjoint =
   Helpers.qtest ~count:80 "allocations never overlap"
     QCheck2.Gen.(list_size (int_range 2 12) (int_range 1 64))
@@ -317,7 +418,11 @@ let () =
       ( "tlb",
         [ prop_tlb_never_lies_after_flush; prop_flush_range_selective ] );
       ( "phys-mem",
-        [ prop_phys_mem_conservation; prop_phys_mem_alloc_disjoint ] );
+        [
+          prop_phys_mem_conservation;
+          prop_phys_mem_alloc_disjoint;
+          prop_phys_mem_matches_list_model;
+        ] );
       ("paging", [ prop_guest_pt_matches_ept_semantics ]);
       ("rng", [ prop_rng_bool_probability; prop_rng_int_uniformish ]);
       ("machine", [ prop_tsc_monotone ]);
