@@ -325,7 +325,7 @@ let microbenches () =
   (* TLB lookup — [lookup] returns the slot's stored entry option, so
      the real API is itself on the gate *)
   let model = Cost_model.default in
-  let tlb = Tlb.create ~model ~rng:(Covirt_sim.Rng.create ~seed:1) in
+  let tlb = Tlb.create ~model in
   Tlb.install tlb 0x200000 ~page_size:Addr.Page_2m;
   let tlb_lookup =
     { mname = "tlb_lookup"; gate = true; iters = floor_iters;
@@ -334,7 +334,7 @@ let microbenches () =
   (* TLB lookup against a completely full TLB — every probe hits, and
      the probe address cycles through every installed page so set
      indexing is exercised, not just one hot set *)
-  let full = Tlb.create ~model ~rng:(Covirt_sim.Rng.create ~seed:2) in
+  let full = Tlb.create ~model in
   let sets, ways = Tlb.geometry full Addr.Page_4k in
   let n_full = sets * ways in
   let hit_addrs = Array.init n_full (fun i -> i * 4096) in
@@ -527,10 +527,13 @@ let lifecycle_benches () =
    benches (floor ns and words/op, not by Bechamel).  [machine_store_hit]
    is one full [Machine.store] of the writer's own memory that hits the
    TLB — translate, owner lookup and charge — and sits on the
-   allocation gate with the other warm paths.  [ipc_send_64w] is one
-   64-word [Ipc.send] (the stores plus the doorbell IPI through the
-   ICR exit) from a producer to a consumer enclave under mem+ipi,
-   ungated: the IPI path still allocates. *)
+   allocation gate with the other warm paths.
+   [machine_store_guest_hit] is the same store from an enclave core
+   under mem+ipi (guest mode, EPT on) to one page of its own memory,
+   so every call repeats the TLB's last hit; also gated.
+   [ipc_send_64w] is one 64-word [Ipc.send] (the stores plus the
+   doorbell IPI through the ICR exit) from a producer to a consumer
+   enclave under mem+ipi, ungated: the IPI path still allocates. *)
 let path_benches () =
   let open Covirt_hw in
   let mib = Covirt_sim.Units.mib in
@@ -582,11 +585,23 @@ let path_benches () =
     | Error m -> failwith m
   in
   let ctx = Covirt_kitten.Kitten.context (snd producer) ~core:1 in
+  let own =
+    match Covirt_kitten.Kitten.kalloc (snd producer) ~bytes:4096 with
+    | Ok a -> a + 64
+    | Error m -> failwith m
+  in
+  let store_guest_hit =
+    { mname = "machine_store_guest_hit"; gate = true; iters = floor_iters;
+      fn =
+        (fun () ->
+          Machine.store ctx.Covirt_kitten.Kitten.machine
+            ctx.Covirt_kitten.Kitten.cpu own) }
+  in
   let ipc_send =
     { mname = "ipc_send_64w"; gate = false; iters = 10_000;
       fn = (fun () -> Covirt_hobbes.Ipc.send ch ctx ~words:64) }
   in
-  [ store_hit; ipc_send ]
+  [ store_hit; store_guest_hit; ipc_send ]
 
 (* Microbench estimates, collected for the JSON report.
    [micro_results] is the floor latency (best of N tight loops) — the

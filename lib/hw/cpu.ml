@@ -14,12 +14,12 @@ type t = {
   mutable guest_pt : Guest_pt.t option;
 }
 
-let create ~id ~zone ~model ~rng =
+let create ~id ~zone ~model =
   {
     id;
     zone;
     apic = Apic.create ();
-    tlb = Tlb.create ~model ~rng;
+    tlb = Tlb.create ~model;
     tsc = 0;
     mode = Host_mode;
     owner = Owner.Host;

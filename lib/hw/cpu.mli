@@ -24,8 +24,7 @@ type t = {
           installs its CR3 *)
 }
 
-val create : id:int -> zone:Numa.zone -> model:Cost_model.t ->
-  rng:Covirt_sim.Rng.t -> t
+val create : id:int -> zone:Numa.zone -> model:Cost_model.t -> t
 
 val charge : t -> int -> unit
 (** Advance the TSC by a cycle count ([Invalid_argument] if

@@ -28,10 +28,10 @@ let create ?(model = Cost_model.default) ?(seed = 42)
   let rng = Covirt_sim.Rng.create ~seed in
   let cores =
     Array.init (Numa.cores topology) (fun id ->
-        Cpu.create ~id
-          ~zone:(Numa.zone_of_core topology ~core:id)
-          ~model
-          ~rng:(Covirt_sim.Rng.split rng))
+        (* Each core's TLB once drew a stream of its own; the draw stays
+           so the machine's later draws (Selfish, LAMMPS) are unchanged. *)
+        ignore (Covirt_sim.Rng.split rng);
+        Cpu.create ~id ~zone:(Numa.zone_of_core topology ~core:id) ~model)
   in
   {
     model;

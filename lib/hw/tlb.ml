@@ -1,4 +1,4 @@
-type entry = { vpn : int; page_size : Addr.page_size; epoch : int }
+type entry = { vpn : int; page_size : Addr.page_size }
 
 (* Set-associative geometry, one bank per size class.  Slots are laid
    out set-major: the slot for way [w] of set [s] is [s * ways + w].
@@ -13,14 +13,27 @@ type bank = {
   stamps : int array;
 }
 
+(* The last-hit memo: the 4K page number of the last lookup that hit,
+   and the bank (0 = 4K, 1 = 2M, 2 = 1G, an int so a fill pays no write
+   barrier) and slot it hit in.  Slots change only in [install],
+   [flush_all] and [flush_range], and each of them clears the memo, so
+   while it is set a probe for that 4K page would find exactly the same
+   slot.  Keyed on the 4K page, not the page of the bank that hit: the
+   4K bank is probed first, so another 4K page of the same 2M page can
+   hit a different entry. *)
 type t = {
   b4k : bank;
   b2m : bank;
   b1g : bank;
-  mutable epoch : int;
   mutable flushes : int;
   mutable tick : int;
+  mutable memo_vpn : int; (* [no_memo] when clear *)
+  mutable memo_bank : int;
+  mutable memo_slot : int;
 }
+
+(* No 4K page number equals it: [Addr.pfn] divides by 4096. *)
+let no_memo = min_int
 
 let make_bank entries =
   let sets, ways = Cost_model.tlb_geometry ~entries in
@@ -31,18 +44,19 @@ let make_bank entries =
     stamps = Array.make (sets * ways) 0;
   }
 
-let create ~model ~rng:_ =
-  (* The RNG parameter is kept for interface stability: eviction used
-     to pick a random victim; pseudo-LRU is deterministic and draws
-     nothing. *)
+let create ~model =
   {
     b4k = make_bank Cost_model.(model.dtlb_entries_4k);
     b2m = make_bank Cost_model.(model.dtlb_entries_2m);
     b1g = make_bank Cost_model.(model.dtlb_entries_1g);
-    epoch = 0;
     flushes = 0;
     tick = 0;
+    memo_vpn = no_memo;
+    memo_bank = 0;
+    memo_slot = 0;
   }
+
+let clear_memo t = t.memo_vpn <- no_memo
 
 let bank_for t = function
   | Addr.Page_4k -> t.b4k
@@ -66,9 +80,10 @@ let m_flush = lazy Covirt_obs.Metrics.(unlabeled (counter "tlb.flush"))
 
 (* warm-begin: allocation-free lookup.  Module-level recursion with
    every binding passed as an argument (no closure capture), hits
-   return the [entry option] stored in the slot array itself — the
-   warm path allocates no options, closures or tuples, enforced by the
-   bench allocation gate and covirt-lint check 6. *)
+   return the [entry option] stored in the slot array itself, and a
+   repeat of the last hit page skips the probes through the memo's int
+   fields — the warm path allocates no options, closures or tuples,
+   enforced by the bench allocation gate and covirt-lint check 6. *)
 let rec probe_way (slots : entry option array) vpn base w ways =
   if w >= ways then -1
   else
@@ -78,27 +93,33 @@ let rec probe_way (slots : entry option array) vpn base w ways =
 
 let bank_slot b vpn = probe_way b.slots vpn (vpn land (b.sets - 1) * b.ways) 0 b.ways
 
+let bank_of_code t = function 0 -> t.b4k | 1 -> t.b2m | _ -> t.b1g
+
+let hit t vpn code b s =
+  touch t b s;
+  t.memo_vpn <- vpn;
+  t.memo_bank <- code;
+  t.memo_slot <- s;
+  b.slots.(s)
+
 let lookup t addr =
-  (* First match wins, in the same class order the linear TLB used. *)
+  let vpn = Addr.pfn addr ~size:Addr.page_size_4k in
   let result =
-    let s = bank_slot t.b4k (Addr.pfn addr ~size:Addr.page_size_4k) in
-    if s >= 0 then begin
-      touch t t.b4k s;
-      t.b4k.slots.(s)
+    if vpn = t.memo_vpn then begin
+      let b = bank_of_code t t.memo_bank in
+      touch t b t.memo_slot;
+      b.slots.(t.memo_slot)
     end
     else
-      let s = bank_slot t.b2m (Addr.pfn addr ~size:Addr.page_size_2m) in
-      if s >= 0 then begin
-        touch t t.b2m s;
-        t.b2m.slots.(s)
-      end
+      (* First match wins, in the same class order the linear TLB used. *)
+      let s = bank_slot t.b4k vpn in
+      if s >= 0 then hit t vpn 0 t.b4k s
       else
-        let s = bank_slot t.b1g (Addr.pfn addr ~size:Addr.page_size_1g) in
-        if s >= 0 then begin
-          touch t t.b1g s;
-          t.b1g.slots.(s)
-        end
-        else None
+        let s = bank_slot t.b2m (Addr.pfn addr ~size:Addr.page_size_2m) in
+        if s >= 0 then hit t vpn 1 t.b2m s
+        else
+          let s = bank_slot t.b1g (Addr.pfn addr ~size:Addr.page_size_1g) in
+          if s >= 0 then hit t vpn 2 t.b1g s else None
   in
   if !Covirt_obs.Metrics.on then
     Covirt_obs.Metrics.add
@@ -116,7 +137,7 @@ let install t addr ~page_size =
   let vpn = Addr.pfn addr ~size:(Addr.bytes_of_page_size page_size) in
   let b = bank_for t page_size in
   let base = vpn land (b.sets - 1) * b.ways in
-  let entry = Some { vpn; page_size; epoch = t.epoch } in
+  let entry = Some { vpn; page_size } in
   (* One O(ways) probe decides: refresh an existing translation, fill
      a free way, or evict the pseudo-LRU victim. *)
   let victim = ref (-1) in
@@ -133,14 +154,15 @@ let install t addr ~page_size =
     if !victim >= 0 then !victim else if !free >= 0 then !free else !stalest
   in
   b.slots.(slot) <- entry;
-  touch t b slot
+  touch t b slot;
+  clear_memo t
 
 let flush_all t =
   let wipe b = Array.fill b.slots 0 (Array.length b.slots) None in
   wipe t.b4k;
   wipe t.b2m;
   wipe t.b1g;
-  t.epoch <- t.epoch + 1;
+  clear_memo t;
   t.flushes <- t.flushes + 1;
   if !Covirt_obs.Metrics.on then Covirt_obs.Metrics.add (Lazy.force m_flush) 1
 
@@ -168,7 +190,8 @@ let flush_range t region =
     else
       for vpn = vpn_lo to vpn_hi do clear_set (vpn land (b.sets - 1)) done
   in
-  List.iter scrub classes
+  List.iter scrub classes;
+  clear_memo t
 
 let entry_count t =
   let live b =
@@ -177,6 +200,7 @@ let entry_count t =
   live t.b4k + live t.b2m + live t.b1g
 
 let flush_count t = t.flushes
+let tick t = t.tick
 
 let bulk_miss_rate ~model ~page_size ~working_set =
   if working_set <= 0 then invalid_arg "Tlb.bulk_miss_rate";

@@ -24,19 +24,23 @@
     pseudo-LRU, driven by a monotonic tick stamped on every hit and
     install — deterministic, unlike the random victim the linear TLB
     used, and invisible to simulated cycle counts on any access
-    pattern that does not overcommit a set. *)
+    pattern that does not overcommit a set.
 
-type entry = { vpn : int; page_size : Addr.page_size; epoch : int }
-(** A cached translation: virtual page number, the size it was
-    installed at, and the flush epoch that validates it. *)
+    Each TLB also remembers its last hit: the 4K page number looked
+    up, and the bank and slot that answered.  A lookup of the same 4K
+    page skips the probes but touches the same slot, counts the same
+    hit and returns the same entry, so the memo changes host time
+    only.  [install], [flush_all] and [flush_range] clear it. *)
+
+type entry = { vpn : int; page_size : Addr.page_size }
+(** A cached translation: virtual page number and the size it was
+    installed at. *)
 
 type t
 (** A stateful per-CPU TLB (all size-class banks). *)
 
-val create : model:Cost_model.t -> rng:Covirt_sim.Rng.t -> t
-(** Fresh, empty TLB with the geometry [model] prescribes.  [rng] is
-    kept for compatibility with the historic random-victim policy; the
-    set-associative replacement no longer draws from it. *)
+val create : model:Cost_model.t -> t
+(** Fresh, empty TLB with the geometry [model] prescribes. *)
 
 val lookup : t -> Addr.t -> entry option
 (** Hit if a valid entry covers the address.  Allocation-free on both
@@ -59,7 +63,7 @@ val geometry : t -> Addr.page_size -> int * int
 (** [(sets, ways)] of the bank holding entries of this page size. *)
 
 val flush_all : t -> unit
-(** Invalidate every entry and advance the flush epoch. *)
+(** Invalidate every entry and count the flush. *)
 
 val flush_range : t -> Region.t -> unit
 (** Invalidate entries whose page overlaps the region. *)
@@ -69,6 +73,11 @@ val entry_count : t -> int
 
 val flush_count : t -> int
 (** Number of full flushes performed (observability for tests). *)
+
+val tick : t -> int
+(** The pseudo-LRU clock: slot touches (hits and installs) so far.
+    Exposed so tests can check that a memo hit touches exactly as a
+    probe hit does. *)
 
 val bulk_miss_rate :
   model:Cost_model.t -> page_size:Addr.page_size -> working_set:int -> float

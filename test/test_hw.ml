@@ -71,10 +71,7 @@ let test_cost_model_ept_walk_order () =
     && Cost_model.ept_walk_extra m Addr.Page_2m
        < Cost_model.ept_walk_extra m Addr.Page_4k)
 
-let make_tlb () =
-  let model = Cost_model.default in
-  let rng = Covirt_sim.Rng.create ~seed:3 in
-  Tlb.create ~model ~rng
+let make_tlb () = Tlb.create ~model:Cost_model.default
 
 let test_tlb_install_lookup () =
   let tlb = make_tlb () in

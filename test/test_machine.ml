@@ -352,6 +352,11 @@ let test_kernel_page_fault_distinct_from_ept () =
         Vmcs.Kill { reason = "ept" })
   in
   cpu.Cpu.guest_pt <- Some pt;
+  let open Covirt_obs in
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect ~finally:Metrics.disable @@ fun () ->
+  let violations () = Metrics.total_counter (Metrics.snapshot ()) "ept.violation" in
   (* mapped in both: fine *)
   Machine.store m cpu r.Region.base;
   (* mapped in neither: the KERNEL's fault fires first, no exit *)
@@ -360,11 +365,13 @@ let test_kernel_page_fault_distinct_from_ept () =
       Alcotest.(check int) "pf address" 0x9000 gva
   | () -> Alcotest.fail "expected kernel page fault");
   Alcotest.(check int) "no hypervisor involvement" 0 !exits;
+  Alcotest.(check int) "no EPT violation counted" 0 (violations ());
   (* kernel maps it (the bug!), EPT does not: now it IS an EPT exit *)
   Guest_pt.map_region pt
     (Region.make ~base:0x8000 ~len:Addr.page_size_4k);
   Helpers.expect_crash "ept violation" (fun () -> Machine.store m cpu 0x8000);
-  Alcotest.(check int) "one exit" 1 !exits
+  Alcotest.(check int) "one exit" 1 !exits;
+  Alcotest.(check int) "one EPT violation counted" 1 (violations ())
 
 let test_direct_map_translates_everything () =
   let m = machine () in

@@ -130,7 +130,7 @@ let test_disabled_records_nothing () =
   (* Drive the instrumented TLB and EPT paths with recording off. *)
   let open Covirt_hw in
   let model = Cost_model.default in
-  let tlb = Tlb.create ~model ~rng:(Covirt_sim.Rng.create ~seed:3) in
+  let tlb = Tlb.create ~model in
   Tlb.install tlb 0x200000 ~page_size:Addr.Page_2m;
   ignore (Tlb.lookup tlb 0x200400);
   ignore (Tlb.lookup tlb 0x999999000);

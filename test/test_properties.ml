@@ -98,7 +98,7 @@ let prop_tlb_never_lies_after_flush =
   Helpers.qtest "flush_all forgets everything"
     QCheck2.Gen.(list_size (int_range 1 100) (int_range 0 1000))
     (fun pages ->
-      let tlb = Tlb.create ~model ~rng:(Covirt_sim.Rng.create ~seed:5) in
+      let tlb = Tlb.create ~model in
       List.iter
         (fun p -> Tlb.install tlb (p * Addr.page_size_4k) ~page_size:Addr.Page_4k)
         pages;
@@ -111,7 +111,7 @@ let prop_flush_range_selective =
   Helpers.qtest "flush_range keeps disjoint entries"
     QCheck2.Gen.(pair (int_range 0 50) (int_range 60 120))
     (fun (flushed_page, kept_page) ->
-      let tlb = Tlb.create ~model ~rng:(Covirt_sim.Rng.create ~seed:6) in
+      let tlb = Tlb.create ~model in
       let addr p = p * Addr.page_size_4k in
       Tlb.install tlb (addr flushed_page) ~page_size:Addr.Page_4k;
       Tlb.install tlb (addr kept_page) ~page_size:Addr.Page_4k;

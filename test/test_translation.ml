@@ -9,7 +9,7 @@ let m2 = Addr.page_size_2m
 let mib = Covirt_sim.Units.mib
 
 let make_tlb () =
-  Tlb.create ~model:Cost_model.default ~rng:(Covirt_sim.Rng.create ~seed:7)
+  Tlb.create ~model:Cost_model.default
 
 let test_geometry () =
   let tlb = make_tlb () in
@@ -73,6 +73,210 @@ let test_flush_range_wide () =
   Alcotest.(check int) "only the outsider survives" 1 (Tlb.entry_count tlb);
   Alcotest.(check bool) "outsider intact" true
     (Tlb.lookup tlb (4 * sets * k4) <> None)
+
+(* The TLB without its last-hit memo: every lookup probes the 4K, 2M
+   and 1G banks in turn.  Lookup and install are [Tlb]'s code as it
+   stood before the memo, copied rather than shared so the reference
+   cannot pick up a memo bug; [flush_range] scans every slot instead
+   of only the sets a small region indexes. *)
+module Ref_tlb = struct
+  type bank = {
+    sets : int;
+    ways : int;
+    slots : Tlb.entry option array;
+    stamps : int array;
+  }
+
+  type t = {
+    b4k : bank;
+    b2m : bank;
+    b1g : bank;
+    mutable flushes : int;
+    mutable tick : int;
+  }
+
+  let make_bank entries =
+    let sets, ways = Cost_model.tlb_geometry ~entries in
+    {
+      sets;
+      ways;
+      slots = Array.make (sets * ways) None;
+      stamps = Array.make (sets * ways) 0;
+    }
+
+  let create ~model =
+    {
+      b4k = make_bank model.Cost_model.dtlb_entries_4k;
+      b2m = make_bank model.Cost_model.dtlb_entries_2m;
+      b1g = make_bank model.Cost_model.dtlb_entries_1g;
+      flushes = 0;
+      tick = 0;
+    }
+
+  let bank_for t = function
+    | Addr.Page_4k -> t.b4k
+    | Addr.Page_2m -> t.b2m
+    | Addr.Page_1g -> t.b1g
+
+  let touch t b slot = b.stamps.(slot) <- (t.tick <- t.tick + 1; t.tick)
+
+  let rec probe_way (slots : Tlb.entry option array) vpn base w ways =
+    if w >= ways then -1
+    else
+      match slots.(base + w) with
+      | Some e when e.Tlb.vpn = vpn -> base + w
+      | Some _ | None -> probe_way slots vpn base (w + 1) ways
+
+  let bank_slot b vpn =
+    probe_way b.slots vpn (vpn land (b.sets - 1) * b.ways) 0 b.ways
+
+  let lookup t addr =
+    let s = bank_slot t.b4k (Addr.pfn addr ~size:Addr.page_size_4k) in
+    if s >= 0 then begin
+      touch t t.b4k s;
+      t.b4k.slots.(s)
+    end
+    else
+      let s = bank_slot t.b2m (Addr.pfn addr ~size:Addr.page_size_2m) in
+      if s >= 0 then begin
+        touch t t.b2m s;
+        t.b2m.slots.(s)
+      end
+      else
+        let s = bank_slot t.b1g (Addr.pfn addr ~size:Addr.page_size_1g) in
+        if s >= 0 then begin
+          touch t t.b1g s;
+          t.b1g.slots.(s)
+        end
+        else None
+
+  let install t addr ~page_size =
+    let vpn = Addr.pfn addr ~size:(Addr.bytes_of_page_size page_size) in
+    let b = bank_for t page_size in
+    let base = vpn land (b.sets - 1) * b.ways in
+    let victim = ref (-1) in
+    let free = ref (-1) in
+    let stalest = ref base in
+    for w = b.ways - 1 downto 0 do
+      let slot = base + w in
+      match b.slots.(slot) with
+      | Some e ->
+          if e.Tlb.vpn = vpn then victim := slot
+          else if b.stamps.(slot) <= b.stamps.(!stalest) then stalest := slot
+      | None -> free := slot
+    done;
+    let slot =
+      if !victim >= 0 then !victim else if !free >= 0 then !free else !stalest
+    in
+    b.slots.(slot) <- Some { Tlb.vpn; page_size };
+    touch t b slot
+
+  let flush_all t =
+    List.iter
+      (fun b -> Array.fill b.slots 0 (Array.length b.slots) None)
+      [ t.b4k; t.b2m; t.b1g ];
+    t.flushes <- t.flushes + 1
+
+  let flush_range t region =
+    let scrub ps =
+      let bytes = Addr.bytes_of_page_size ps in
+      let b = bank_for t ps in
+      let vpn_lo = region.Region.base / bytes in
+      let vpn_hi = (Region.limit region - 1) / bytes in
+      Array.iteri
+        (fun i e ->
+          match e with
+          | Some e when e.Tlb.vpn >= vpn_lo && e.Tlb.vpn <= vpn_hi ->
+              b.slots.(i) <- None
+          | Some _ | None -> ())
+        b.slots
+    in
+    List.iter scrub [ Addr.Page_4k; Addr.Page_2m; Addr.Page_1g ]
+
+  let entry_count t =
+    List.fold_left
+      (fun n b ->
+        Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) n
+          b.slots)
+      0 [ t.b4k; t.b2m; t.b1g ]
+end
+
+(* Property: the memoized [Tlb] and the probe-only reference, driven
+   by one random sequence of lookups, installs and flushes, answer
+   every lookup alike and agree on live entries, flushes and the
+   pseudo-LRU clock after every op.  Few entries per bank, so installs
+   evict; few pages in a small address window, so 4K pages share 2M
+   and 1G pages and lookups repeat the last page (the memo's hit). *)
+let small_tlb_model =
+  { Cost_model.default with
+    Cost_model.dtlb_entries_4k = 8;
+    dtlb_entries_2m = 4;
+    dtlb_entries_1g = 2 }
+
+let gen_tlb_addr =
+  QCheck2.Gen.(
+    map
+      (fun (g, m, p, off) ->
+        (g * Addr.page_size_1g) + (m * m2) + (p * k4) + off)
+      (quad (int_range 0 2) (int_range 0 2) (int_range 0 5)
+         (int_range 0 (k4 - 1))))
+
+let gen_tlb_ops =
+  QCheck2.Gen.(
+    list_size (int_range 1 200)
+      (frequency
+         [
+           (4, map (fun a -> `Lookup a) gen_tlb_addr);
+           (4, map (fun off -> `Again off) (int_range 0 (k4 - 1)));
+           ( 3,
+             map2
+               (fun a ps -> `Install (a, ps))
+               gen_tlb_addr
+               (oneofl [ Addr.Page_4k; Addr.Page_2m; Addr.Page_1g ]) );
+           (1, pure `Flush_all);
+           ( 2,
+             map2
+               (fun a len -> `Flush_range (a - (a mod k4), len))
+               gen_tlb_addr
+               (oneofl [ k4; 2 * k4; m2; m2 + k4; Addr.page_size_1g ]) );
+         ]))
+
+let prop_tlb_memo_equals_probe =
+  Covirt_test_util.Helpers.qtest ~count:300 "memoized TLB = probe-only TLB"
+    gen_tlb_ops
+    (fun ops ->
+      let tlb = Tlb.create ~model:small_tlb_model in
+      let reference = Ref_tlb.create ~model:small_tlb_model in
+      let last = ref 0 in
+      let lookup addr =
+        last := addr;
+        Tlb.lookup tlb addr = Ref_tlb.lookup reference addr
+      in
+      List.for_all
+        (fun op ->
+          let answers =
+            match op with
+            | `Lookup a -> lookup a
+            | `Again off -> lookup (!last - (!last mod k4) + off)
+            | `Install (a, page_size) ->
+                Tlb.install tlb a ~page_size;
+                Ref_tlb.install reference a ~page_size;
+                true
+            | `Flush_all ->
+                Tlb.flush_all tlb;
+                Ref_tlb.flush_all reference;
+                true
+            | `Flush_range (base, len) ->
+                let r = Region.make ~base ~len in
+                Tlb.flush_range tlb r;
+                Ref_tlb.flush_range reference r;
+                true
+          in
+          answers
+          && Tlb.entry_count tlb = Ref_tlb.entry_count reference
+          && Tlb.flush_count tlb = reference.Ref_tlb.flushes
+          && Tlb.tick tlb = reference.Ref_tlb.tick)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 
@@ -341,8 +545,6 @@ let test_charge_zero_alloc_obs_on () =
           Machine.charge_random m cpu ~ops:100 ~base:(32 * mib)
             ~working_set:(8 * mib) ~sharers:2 ~page_size:Addr.Page_2m))
 
-(* A warm granular store of the writer's own memory — translate,
-   ownership lookup, charge — with metrics off and on. *)
 let test_apic_ack_zero_alloc () =
   let apic = Apic.create () in
   let v = ref 0 in
@@ -351,6 +553,8 @@ let test_apic_ack_zero_alloc () =
       Apic.raise_irr apic ~vector:!v;
       ignore (Apic.ack_highest apic))
 
+(* A warm granular store of the writer's own memory — translate,
+   ownership lookup, charge — with metrics off and on. *)
 let test_store_zero_alloc () =
   let check () =
     let m = make_machine () in
@@ -366,6 +570,40 @@ let test_store_zero_alloc () =
     in
     check_zero_alloc "warm Machine.store allocates nothing" (fun () ->
         Machine.store m cpu (r.Region.base + 64))
+  in
+  check ();
+  with_obs check
+
+(* The same store from an enclave core under mem+ipi: guest mode with
+   the EPT on, and every store after the first repeats the page of the
+   TLB's last hit. *)
+let test_guest_store_zero_alloc () =
+  let check () =
+    let node =
+      Covirt_hobbes.Hobbes.create_node ~seed:13 ~zones:1 ~cores_per_zone:2
+        ~mem_mib_per_zone:256 ()
+    in
+    ignore
+      (Covirt.enable (Covirt_hobbes.Hobbes.pisces node)
+         ~config:Covirt.Config.mem_ipi);
+    let kernel =
+      match
+        Covirt_hobbes.Hobbes.launch_enclave node ~name:"writer" ~cores:[ 1 ]
+          ~mem:[ (0, 32 * mib) ] ()
+      with
+      | Ok (_, k) -> k
+      | Error e -> Alcotest.fail e
+    in
+    let ctx = Covirt_kitten.Kitten.context kernel ~core:1 in
+    let cpu = ctx.Covirt_kitten.Kitten.cpu in
+    Alcotest.(check bool) "enclave core in guest mode" true (Cpu.in_guest cpu);
+    let addr =
+      match Covirt_kitten.Kitten.kalloc kernel ~bytes:k4 with
+      | Ok a -> a + 64
+      | Error e -> Alcotest.fail e
+    in
+    check_zero_alloc "warm guest-mode Machine.store allocates nothing"
+      (fun () -> Machine.store ctx.Covirt_kitten.Kitten.machine cpu addr)
   in
   check ();
   with_obs check
@@ -502,6 +740,7 @@ let () =
           Alcotest.test_case "flush_range precision" `Quick
             test_flush_range_precision;
           Alcotest.test_case "flush_range wide" `Quick test_flush_range_wide;
+          prop_tlb_memo_equals_probe;
         ] );
       ( "ept caches",
         [
@@ -534,6 +773,8 @@ let () =
             test_charge_zero_alloc_obs_on;
           Alcotest.test_case "granular stores, obs off and on" `Quick
             test_store_zero_alloc;
+          Alcotest.test_case "guest-mode repeated-page stores, obs off and on"
+            `Quick test_guest_store_zero_alloc;
           Alcotest.test_case "apic raise and ack" `Quick
             test_apic_ack_zero_alloc;
           Alcotest.test_case "fleet shards, domains 1/2/7" `Quick
