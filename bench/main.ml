@@ -322,8 +322,8 @@ let microbenches () =
           Ept.map_region scratch r;
           Ept.unmap_region scratch r) }
   in
-  (* TLB lookup — [lookup] returns the slot's stored entry option, so
-     the real API is itself on the gate *)
+  (* TLB lookup — [lookup] answers with an int, so the real API is
+     itself on the gate *)
   let model = Cost_model.default in
   let tlb = Tlb.create ~model in
   Tlb.install tlb 0x200000 ~page_size:Addr.Page_2m;
@@ -345,7 +345,7 @@ let microbenches () =
       fn =
         (fun () ->
           incr hidx;
-          ignore (Tlb.lookup_hit full hit_addrs.(!hidx land (n_full - 1)))) }
+          ignore (Tlb.lookup full hit_addrs.(!hidx land (n_full - 1)))) }
   in
   let midx = ref 0 in
   let tlb_lookup_miss =
@@ -395,8 +395,8 @@ let microbenches () =
       fn =
         (fun () ->
           ignore
-            (Covirt.Whitelist.permits wl
-               ~icr:{ Apic.dest = 7; vector = 0x44; kind = Apic.Fixed })) }
+            (Covirt.Whitelist.permits wl ~dest:7 ~vector:0x44
+               ~kind:Apic.Fixed)) }
   in
   (* command queue round trip *)
   let q = Covirt.Command.create_queue () in
@@ -532,8 +532,12 @@ let lifecycle_benches () =
    under mem+ipi (guest mode, EPT on) to one page of its own memory,
    so every call repeats the TLB's last hit; also gated.
    [ipc_send_64w] is one 64-word [Ipc.send] (the stores plus the
-   doorbell IPI through the ICR exit) from a producer to a consumer
-   enclave under mem+ipi, ungated: the IPI path still allocates. *)
+   doorbell IPI through the ICR exit and the consumer's ISR) from a
+   producer to a consumer enclave under mem+ipi; gated.
+   [vmexit_roundtrip] delivers one exit of each reason that neither
+   kills nor reports (an allowed ICR write, an MSR read, cpuid, xsetbv,
+   hlt, an external interrupt, an NMI with nothing queued) on the
+   producer's core, through the hypervisor's installed handler; gated. *)
 let path_benches () =
   let open Covirt_hw in
   let mib = Covirt_sim.Units.mib in
@@ -598,10 +602,30 @@ let path_benches () =
             ctx.Covirt_kitten.Kitten.cpu own) }
   in
   let ipc_send =
-    { mname = "ipc_send_64w"; gate = false; iters = 10_000;
+    { mname = "ipc_send_64w"; gate = true; iters = 10_000;
       fn = (fun () -> Covirt_hobbes.Ipc.send ch ctx ~words:64) }
   in
-  [ store_hit; store_guest_hit; ipc_send ]
+  let cpu = ctx.Covirt_kitten.Kitten.cpu in
+  let vmcs = Option.get (Cpu.vmcs cpu) in
+  let model = machine.Machine.model in
+  let deliver reason ~qual ~addr ~value =
+    Vmcs.set_exit vmcs reason ~qual ~addr ~value;
+    ignore (Vmx.deliver_exit ~model cpu vmcs)
+  in
+  let vmexit_roundtrip =
+    { mname = "vmexit_roundtrip"; gate = true; iters = floor_iters;
+      fn =
+        (fun () ->
+          deliver Vmcs.Icr_write ~qual:(Apic.kind_code Apic.Fixed) ~addr:1
+            ~value:0x40;
+          deliver Vmcs.Msr_access ~qual:0 ~addr:Msr.ia32_pat ~value:0;
+          deliver Vmcs.Cpuid ~qual:0 ~addr:0 ~value:0;
+          deliver Vmcs.Xsetbv ~qual:0 ~addr:0 ~value:0;
+          deliver Vmcs.Hlt ~qual:0 ~addr:0 ~value:0;
+          deliver Vmcs.External_interrupt ~qual:0 ~addr:0 ~value:0xef;
+          deliver Vmcs.Nmi_exit ~qual:0 ~addr:0 ~value:0) }
+  in
+  [ store_hit; store_guest_hit; ipc_send; vmexit_roundtrip ]
 
 (* Microbench estimates, collected for the JSON report.
    [micro_results] is the floor latency (best of N tight loops) — the

@@ -49,6 +49,7 @@ let make_report t ~kind ~fatal detail =
   }
 
 let emulate_cost = 200
+let halted = Vmcs.Kill { reason = "halted by controller" }
 
 (* Observability families (interned once; cells are looked up per label
    because the enclave/cpu pair varies per hypervisor instance).  Sites
@@ -70,55 +71,56 @@ let obs_incr t fam dim =
 
 (* Drain the command queue: the controller already rewrote the
    hardware structures; we only activate/invalidate local state. *)
-let drain_queue t =
-  let rec loop killed =
-    match Command.dequeue t.queue with
-    | None -> killed
-    | Some cmd ->
-        let killed =
-          match cmd with
-          | Command.Flush_tlb region ->
-              Tlb.flush_range t.cpu.Cpu.tlb region;
-              t.flushes <- t.flushes + 1;
-              if !Covirt_obs.Metrics.on then obs_incr t m_shootdown "range";
-              Cpu.charge t.cpu 300;
-              killed
-          | Command.Flush_tlb_all ->
-              Tlb.flush_all t.cpu.Cpu.tlb;
-              t.flushes <- t.flushes + 1;
-              if !Covirt_obs.Metrics.on then obs_incr t m_shootdown "all";
-              Cpu.charge t.cpu 500;
-              killed
-          | Command.Reload_vmcs ->
-              Cpu.charge t.cpu t.machine.Machine.model.Cost_model.vmcs_load;
-              killed
-          | Command.Whitelist_updated ->
-              (* Decisions are made against the live structure; nothing
-                 is cached core-locally. *)
-              Cpu.charge t.cpu 100;
-              killed
-          | Command.Halt_core -> true
-        in
-        loop killed
-  in
-  loop false
+let rec drain_queue t ~killed =
+  match Command.dequeue t.queue with
+  | None -> killed
+  | Some cmd ->
+      let killed =
+        match cmd with
+        | Command.Flush_tlb region ->
+            Tlb.flush_range t.cpu.Cpu.tlb region;
+            t.flushes <- t.flushes + 1;
+            if !Covirt_obs.Metrics.on then obs_incr t m_shootdown "range";
+            Cpu.charge t.cpu 300;
+            killed
+        | Command.Flush_tlb_all ->
+            Tlb.flush_all t.cpu.Cpu.tlb;
+            t.flushes <- t.flushes + 1;
+            if !Covirt_obs.Metrics.on then obs_incr t m_shootdown "all";
+            Cpu.charge t.cpu 500;
+            killed
+        | Command.Reload_vmcs ->
+            Cpu.charge t.cpu t.machine.Machine.model.Cost_model.vmcs_load;
+            killed
+        | Command.Whitelist_updated ->
+            (* Decisions are made against the live structure; nothing
+               is cached core-locally. *)
+            Cpu.charge t.cpu 100;
+            killed
+        | Command.Halt_core -> true
+      in
+      drain_queue t ~killed
 
-let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
-  match reason with
-  | Vmcs.Ept_violation v ->
+let access_names = [| "read"; "write"; "exec" |]
+
+(* The exits that report nothing (an allowed IPI, an MSR read,
+   emulated instructions, halts, interrupts, an empty NMI drain)
+   allocate nothing; the reporting and killing arms format details. *)
+let handle_exit t (x : Vmcs.exit_info) : Vmcs.action =
+  match x.Vmcs.reason with
+  | Vmcs.Ept_violation ->
       let detail =
         Format.asprintf "EPT %s violation at gpa %a"
-          (match v.Ept.access with
-          | `Read -> "read"
-          | `Write -> "write"
-          | `Exec -> "exec")
-          Addr.pp v.Ept.gpa
+          access_names.(x.Vmcs.qual land 3)
+          Addr.pp x.Vmcs.addr
       in
       t.report (make_report t ~kind:Fault_report.Memory_violation ~fatal:true detail);
       Vmcs.Kill { reason = detail }
-  | Vmcs.Icr_write icr ->
+  | Vmcs.Icr_write ->
       Cpu.charge t.cpu t.machine.Machine.model.Cost_model.icr_whitelist_check;
-      if Whitelist.permits t.whitelist ~icr then begin
+      let kind = Apic.kind_of_code x.Vmcs.qual in
+      if Whitelist.permits t.whitelist ~dest:x.Vmcs.addr ~vector:x.Vmcs.value ~kind
+      then begin
         if !Covirt_obs.Metrics.on then obs_incr t m_ipi "allowed";
         Vmcs.Resume
       end
@@ -127,12 +129,15 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
         if !Covirt_obs.Metrics.on then obs_incr t m_ipi "dropped";
         t.report
           (make_report t ~kind:Fault_report.Errant_ipi ~fatal:false
-             (Format.asprintf "dropped %a" Apic.pp_icr icr));
+             (Format.asprintf "dropped %a" Apic.pp_icr
+                { Apic.dest = x.Vmcs.addr; vector = x.Vmcs.value; kind }));
         Vmcs.Skip
       end
-  | Vmcs.Msr_access { msr; write; _ } ->
-      if write then begin
-        let detail = Format.asprintf "write to protected MSR 0x%x" msr in
+  | Vmcs.Msr_access ->
+      if x.Vmcs.qual = 1 then begin
+        let detail =
+          Format.asprintf "write to protected MSR 0x%x" x.Vmcs.addr
+        in
         t.report
           (make_report t ~kind:Fault_report.Msr_violation ~fatal:true detail);
         Vmcs.Kill { reason = detail }
@@ -143,9 +148,11 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
         Cpu.charge t.cpu emulate_cost;
         Vmcs.Resume
       end
-  | Vmcs.Io_access { port; write; _ } ->
-      if write then begin
-        let detail = Format.asprintf "write to protected I/O port 0x%x" port in
+  | Vmcs.Io_access ->
+      if x.Vmcs.qual = 1 then begin
+        let detail =
+          Format.asprintf "write to protected I/O port 0x%x" x.Vmcs.addr
+        in
         t.report
           (make_report t ~kind:Fault_report.Io_violation ~fatal:true detail);
         Vmcs.Kill { reason = detail }
@@ -153,27 +160,27 @@ let handle_exit t (reason : Vmcs.exit_reason) : Vmcs.action =
       else begin
         t.report
           (make_report t ~kind:Fault_report.Io_violation ~fatal:false
-             (Format.asprintf "suppressed read of protected port 0x%x" port));
+             (Format.asprintf "suppressed read of protected port 0x%x"
+                x.Vmcs.addr));
         Vmcs.Skip
       end
   | Vmcs.Cpuid | Vmcs.Xsetbv ->
       if !Covirt_obs.Metrics.on then
-        obs_incr t m_emul (if reason = Vmcs.Cpuid then "cpuid" else "xsetbv");
+        obs_incr t m_emul
+          Vmcs.exit_reason_names.(Vmcs.code x.Vmcs.reason);
       Cpu.charge t.cpu emulate_cost;
       Vmcs.Resume
   | Vmcs.Hlt ->
       (* Emulated halt: the core idles until the next event; nothing
          to charge beyond the exit itself. *)
       Vmcs.Resume
-  | Vmcs.External_interrupt _ ->
+  | Vmcs.External_interrupt ->
       (* Re-inject into the guest (cost charged by the machine). *)
       Vmcs.Resume
   | Vmcs.Nmi_exit ->
-      if drain_queue t then
-        Vmcs.Kill { reason = "halted by controller" }
-      else Vmcs.Skip
-  | Vmcs.Abort { what } ->
-      let detail = Format.asprintf "abort-class exception: %s" what in
+      if drain_queue t ~killed:false then halted else Vmcs.Skip
+  | Vmcs.Abort ->
+      let detail = Format.asprintf "abort-class exception: %s" x.Vmcs.what in
       t.report
         (make_report t ~kind:Fault_report.Abort_fault ~fatal:true detail);
       Vmcs.Kill { reason = detail }

@@ -61,8 +61,7 @@ let retire t =
   unindex t t.allowed;
   t.index <- None
 
-let permits t ~icr =
-  let { Apic.dest; vector; kind } = icr in
+let permits t ~dest ~vector ~kind =
   let internal = has_core dest t.enclave_cores in
   match kind with
   | Apic.Fixed -> internal || has_grant vector dest t.allowed

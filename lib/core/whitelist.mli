@@ -36,7 +36,10 @@ val retire : t -> unit
 (** Take the whitelist out of its index, keeping its grants readable
     (the instance it guarded is gone); later changes are not indexed. *)
 
-val permits : t -> icr:Apic.icr -> bool
+val permits : t -> dest:int -> vector:int -> kind:Apic.ipi_kind -> bool
+(** Whether an ICR write of [vector] and [kind] to core [dest] may
+    leave the enclave.  Allocates nothing. *)
+
 val note_dropped : t -> unit
 val dropped : t -> int
 val grants : t -> (int * int) list

@@ -137,8 +137,8 @@ let doorbell_run ~doorbells config =
     | Some inst ->
         List.fold_left
           (fun acc (_, hv) ->
-            acc
-            + (Covirt.Hypervisor.vmcs hv).Vmcs.stats.Vmcs.exits_interrupt)
+            let exits = (Covirt.Hypervisor.vmcs hv).Vmcs.exits in
+            acc + exits.(Vmcs.code Vmcs.External_interrupt))
           0 inst.Covirt.Controller.hypervisors
     | None -> 0
   in

@@ -72,6 +72,9 @@ let timer_hz t = t.timer_hz
 let ipis_sent t = t.sent
 let note_ipi_sent t = t.sent <- t.sent + 1
 
+let kind_code = function Fixed -> 0 | Nmi -> 1 | Init -> 2 | Startup -> 3
+let kind_of_code = function 0 -> Fixed | 1 -> Nmi | 2 -> Init | _ -> Startup
+
 let pp_icr ppf { dest; vector; kind } =
   let kind_s =
     match kind with

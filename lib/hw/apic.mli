@@ -12,6 +12,13 @@ type ipi_kind = Fixed | Nmi | Init | Startup
 
 type icr = { dest : int; vector : int; kind : ipi_kind }
 
+val kind_code : ipi_kind -> int
+(** [Fixed] 0, [Nmi] 1, [Init] 2, [Startup] 3: the ICR-write exit's
+    qualification and the trace codec's kind byte. *)
+
+val kind_of_code : int -> ipi_kind
+(** Inverse of {!kind_code} (3 and above read as [Startup]). *)
+
 type t
 
 val create : unit -> t

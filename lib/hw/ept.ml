@@ -364,17 +364,12 @@ let translate_code t addr ~access =
       end
 (* warm-end *)
 
-let violation_of_code code addr ~access =
-  {
-    gpa = addr;
-    access;
-    reason = (if code = not_mapped_code then `Not_mapped else `Perm_denied);
-  }
-
 let translate t addr ~access =
   let code = translate_code t addr ~access in
   if code >= 0 then Ok (Addr.page_size_of_code code)
-  else Error (violation_of_code code addr ~access)
+  else
+    let reason = if code = not_mapped_code then `Not_mapped else `Perm_denied in
+    Error { gpa = addr; access; reason }
 
 let page_size_at t addr = Option.map fst (find_leaf t addr)
 

@@ -44,7 +44,7 @@ type violation = {
       (** no translation at all, vs a translation without the needed
           permission *)
 }
-(** An EPT violation — the payload of the corresponding VM exit. *)
+(** An EPT violation, as {!translate} reports it. *)
 
 type t
 (** One nested page table (one per enclave). *)
@@ -113,11 +113,6 @@ val translate_code : t -> Addr.t -> access:[ `Read | `Write | `Exec ] -> int
     cache and observability behaviour to {!translate} — a warm call
     (walk-cache hit) performs zero minor allocation, asserted by the
     bench allocation gate. *)
-
-val violation_of_code :
-  int -> Addr.t -> access:[ `Read | `Write | `Exec ] -> violation
-(** Rebuild the {!violation} a failing {!translate_code} stands for —
-    called only on the cold exit-delivery path. *)
 
 val covers : t -> base:Addr.t -> len:int -> bool
 (** Bulk check: the whole range is mapped (permissions not checked —

@@ -158,13 +158,20 @@ let walk_kernel_pt t (cpu : Cpu.t) addr =
             (Guest_page_fault
                { cpu_id = cpu.Cpu.id; owner = cpu.Cpu.owner; gva }))
 
+(* Fill the VMCS's exit record and deliver the exit. *)
+let vm_exit t cpu vmcs reason ~qual ~addr ~value =
+  Vmcs.set_exit vmcs reason ~qual ~addr ~value;
+  Vmx.deliver_exit ~model:t.model cpu vmcs
+
+(* The EPT-violation qualification's access field. *)
+let access_code = function `Read -> 0 | `Write -> 1 | `Exec -> 2
+
 (* warm-begin: the granular warm path is a TLB hit — one probe, one
    charge, no allocation (bench allocation gate; covirt-lint check 6).
    The miss continuation walks and installs (which may allocate: it is
-   the cold fill), and builds a violation record only when a walk
-   failure is about to become a VM exit. *)
+   the cold fill), and a walk failure becomes a VM exit. *)
 let translate_granular t (cpu : Cpu.t) addr ~access =
-  if Tlb.lookup_hit cpu.Cpu.tlb addr then begin
+  if Tlb.lookup cpu.Cpu.tlb addr >= 0 then begin
     Cpu.charge cpu t.model.Cost_model.l1_hit;
     `Proceed
   end
@@ -193,10 +200,11 @@ let translate_granular t (cpu : Cpu.t) addr ~access =
               `Proceed
             end
             else begin
-              let violation = Ept.violation_of_code code addr ~access in
+              (* -2: a translation exists but denies this access *)
+              let present = if code = -2 then Vmcs.ept_present else 0 in
               match
-                Vmx.deliver_exit ~model:t.model cpu vmcs
-                  (Vmcs.Ept_violation violation)
+                vm_exit t cpu vmcs Vmcs.Ept_violation
+                  ~qual:(access_code access lor present) ~addr ~value:0
               with
               | `Resume -> `Proceed
               | `Skip -> `Suppressed
@@ -245,13 +253,9 @@ let check_range t (cpu : Cpu.t) ~base ~len ~access =
               | None -> base
               | Some r -> Region.limit r
             in
-            let access = (access :> [ `Read | `Write | `Exec ]) in
-            let violation =
-              { Ept.gpa; access; reason = `Not_mapped }
-            in
             match
-              Vmx.deliver_exit ~model:t.model cpu vmcs
-                (Vmcs.Ept_violation violation)
+              vm_exit t cpu vmcs Vmcs.Ept_violation
+                ~qual:(access_code access) ~addr:gpa ~value:0
             with
             | `Resume | `Skip -> ()
           end)
@@ -431,10 +435,8 @@ let rdmsr t (cpu : Cpu.t) msr =
     when (match vmcs.Vmcs.controls.Vmcs.msr_bitmap with
          | Some bm -> Msr.Bitmap.is_protected bm msr
          | None -> false) -> (
-      match
-        Vmx.deliver_exit ~model:t.model cpu vmcs
-          (Vmcs.Msr_access { msr; write = false; value = 0L })
-      with
+      vmcs.Vmcs.exit.Vmcs.msr_value <- 0L;
+      match vm_exit t cpu vmcs Vmcs.Msr_access ~qual:0 ~addr:msr ~value:0 with
       | `Resume -> Msr.read t.msrs msr
       | `Skip -> 0L)
   | Cpu.Guest_mode _ | Cpu.Host_mode ->
@@ -447,10 +449,8 @@ let wrmsr t (cpu : Cpu.t) msr value =
     when (match vmcs.Vmcs.controls.Vmcs.msr_bitmap with
          | Some bm -> Msr.Bitmap.is_protected bm msr
          | None -> false) -> (
-      match
-        Vmx.deliver_exit ~model:t.model cpu vmcs
-          (Vmcs.Msr_access { msr; write = true; value })
-      with
+      vmcs.Vmcs.exit.Vmcs.msr_value <- value;
+      match vm_exit t cpu vmcs Vmcs.Msr_access ~qual:1 ~addr:msr ~value:0 with
       | `Resume -> Msr.write t.msrs msr value
       | `Skip -> ())
   | Cpu.Guest_mode _ | Cpu.Host_mode ->
@@ -467,10 +467,7 @@ let outb t (cpu : Cpu.t) port value =
     when (match vmcs.Vmcs.controls.Vmcs.io_bitmap with
          | Some bm -> Io_port.Bitmap.is_protected bm port
          | None -> false) -> (
-      match
-        Vmx.deliver_exit ~model:t.model cpu vmcs
-          (Vmcs.Io_access { port; write = true; value })
-      with
+      match vm_exit t cpu vmcs Vmcs.Io_access ~qual:1 ~addr:port ~value with
       | `Resume | `Skip -> ())
   | Cpu.Guest_mode _ | Cpu.Host_mode ->
       Cpu.charge cpu 200;
@@ -488,7 +485,7 @@ let emulated_instruction t (cpu : Cpu.t) reason =
   match cpu.Cpu.mode with
   | Cpu.Host_mode -> Cpu.charge cpu 100
   | Cpu.Guest_mode vmcs -> (
-      match Vmx.deliver_exit ~model:t.model cpu vmcs reason with
+      match vm_exit t cpu vmcs reason ~qual:0 ~addr:0 ~value:0 with
       | `Resume | `Skip -> ())
 
 let cpuid t cpu = emulated_instruction t cpu Vmcs.Cpuid
@@ -498,7 +495,7 @@ let hlt t (cpu : Cpu.t) =
   match cpu.Cpu.mode with
   | Cpu.Host_mode -> Cpu.charge cpu 50
   | Cpu.Guest_mode vmcs -> (
-      match Vmx.deliver_exit ~model:t.model cpu vmcs Vmcs.Hlt with
+      match vm_exit t cpu vmcs Vmcs.Hlt ~qual:0 ~addr:0 ~value:0 with
       | `Resume | `Skip -> ())
 
 let raise_abort t (cpu : Cpu.t) ~what =
@@ -509,9 +506,8 @@ let raise_abort t (cpu : Cpu.t) ~what =
         (Format.asprintf "abort (%s) on %a escalated to triple fault" what
            Owner.pp cpu.Cpu.owner)
   | Cpu.Guest_mode vmcs -> (
-      match
-        Vmx.deliver_exit ~model:t.model cpu vmcs (Vmcs.Abort { what })
-      with
+      vmcs.Vmcs.exit.Vmcs.what <- what;
+      match vm_exit t cpu vmcs Vmcs.Abort ~qual:0 ~addr:0 ~value:0 with
       | `Resume | `Skip -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -530,7 +526,7 @@ let handle_nmi t (dest : Cpu.t) =
     | Cpu.Guest_mode vmcs -> (
         (* NMIs unconditionally exit; the Covirt hypervisor's NMI
            handler drains the command queue. *)
-        match Vmx.deliver_exit ~model:t.model dest vmcs Vmcs.Nmi_exit with
+        match vm_exit t dest vmcs Vmcs.Nmi_exit ~qual:0 ~addr:0 ~value:0 with
         | `Resume | `Skip -> ())
     | Cpu.Host_mode -> (
         match dest.Cpu.nmi_handler with
@@ -569,8 +565,8 @@ let deliver_fixed t (dest : Cpu.t) ~vector ~from_owner =
             (* Incoming interrupts force an exit; the hypervisor
                re-injects. *)
             match
-              Vmx.deliver_exit ~model:t.model dest vmcs
-                (Vmcs.External_interrupt { vector })
+              vm_exit t dest vmcs Vmcs.External_interrupt ~qual:0 ~addr:0
+                ~value:vector
             with
             | `Resume ->
                 Apic.raise_irr dest.Cpu.apic ~vector;
@@ -593,8 +589,8 @@ let send_ipi t ~from ~dest ~vector ~kind =
     match from.Cpu.mode with
     | Cpu.Guest_mode vmcs when vapic_active from -> (
         match
-          Vmx.deliver_exit ~model:t.model from vmcs
-            (Vmcs.Icr_write { Apic.dest; vector; kind })
+          vm_exit t from vmcs Vmcs.Icr_write ~qual:(Apic.kind_code kind)
+            ~addr:dest ~value:vector
         with
         | `Resume -> true
         | `Skip -> false)
@@ -636,8 +632,8 @@ let deliver_external_irq t ~dest ~vector =
       | Vmcs.Vapic_full | Vmcs.Vapic_piv _ -> (
           (* device interrupts exit even under PIV *)
           match
-            Vmx.deliver_exit ~model:t.model cpu vmcs
-              (Vmcs.External_interrupt { vector })
+            vm_exit t cpu vmcs Vmcs.External_interrupt ~qual:0 ~addr:0
+              ~value:vector
           with
           | `Resume -> Cpu.charge cpu t.model.Cost_model.vapic_inject
           | `Skip -> ())));
@@ -667,8 +663,8 @@ let timer_tick t (cpu : Cpu.t) =
       | Vmcs.Vapic_off -> Cpu.charge cpu t.model.Cost_model.timer_handler
       | Vmcs.Vapic_full | Vmcs.Vapic_piv _ -> (
           match
-            Vmx.deliver_exit ~model:t.model cpu vmcs
-              (Vmcs.External_interrupt { vector = timer_vector })
+            vm_exit t cpu vmcs Vmcs.External_interrupt ~qual:0 ~addr:0
+              ~value:timer_vector
           with
           | `Resume ->
               Cpu.charge cpu

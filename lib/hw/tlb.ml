@@ -1,17 +1,19 @@
-type entry = { vpn : int; page_size : Addr.page_size }
-
 (* Set-associative geometry, one bank per size class.  Slots are laid
    out set-major: the slot for way [w] of set [s] is [s * ways + w].
-   [stamps] carries the pseudo-LRU epoch (a monotonically increasing
-   tick updated on hit and install); eviction picks the stalest way of
-   the probed set, so every operation is O(ways) instead of
-   O(entries). *)
+   [vpns] holds each slot's page number at the bank's page size, or
+   [empty]; [stamps] carries the pseudo-LRU epoch (a monotonically
+   increasing tick updated on hit and install); eviction picks the
+   stalest way of the probed set, so every operation is O(ways)
+   instead of O(entries). *)
 type bank = {
   sets : int; (* power of two *)
   ways : int;
-  slots : entry option array; (* length sets * ways *)
+  vpns : int array; (* length sets * ways *)
   stamps : int array;
 }
+
+(* No page number equals it: addresses are non-negative. *)
+let empty = -1
 
 (* The last-hit memo: the 4K page number of the last lookup that hit,
    and the bank (0 = 4K, 1 = 2M, 2 = 1G, an int so a fill pays no write
@@ -40,7 +42,7 @@ let make_bank entries =
   {
     sets;
     ways;
-    slots = Array.make (sets * ways) None;
+    vpns = Array.make (sets * ways) empty;
     stamps = Array.make (sets * ways) 0;
   }
 
@@ -79,19 +81,17 @@ let m_miss = lazy Covirt_obs.Metrics.(unlabeled (counter "tlb.lookup.miss"))
 let m_flush = lazy Covirt_obs.Metrics.(unlabeled (counter "tlb.flush"))
 
 (* warm-begin: allocation-free lookup.  Module-level recursion with
-   every binding passed as an argument (no closure capture), hits
-   return the [entry option] stored in the slot array itself, and a
-   repeat of the last hit page skips the probes through the memo's int
-   fields — the warm path allocates no options, closures or tuples,
-   enforced by the bench allocation gate and covirt-lint check 6. *)
-let rec probe_way (slots : entry option array) vpn base w ways =
+   every binding passed as an argument (no closure capture), the
+   answer is an int, and a repeat of the last hit page skips the
+   probes through the memo's int fields — the warm path allocates no
+   options, closures or tuples, enforced by the bench allocation gate
+   and covirt-lint check 6. *)
+let rec probe_way (vpns : int array) vpn base w ways =
   if w >= ways then -1
-  else
-    match slots.(base + w) with
-    | Some e when e.vpn = vpn -> base + w
-    | Some _ | None -> probe_way slots vpn base (w + 1) ways
+  else if vpns.(base + w) = vpn then base + w
+  else probe_way vpns vpn base (w + 1) ways
 
-let bank_slot b vpn = probe_way b.slots vpn (vpn land (b.sets - 1) * b.ways) 0 b.ways
+let bank_slot b vpn = probe_way b.vpns vpn (vpn land (b.sets - 1) * b.ways) 0 b.ways
 
 let bank_of_code t = function 0 -> t.b4k | 1 -> t.b2m | _ -> t.b1g
 
@@ -100,15 +100,14 @@ let hit t vpn code b s =
   t.memo_vpn <- vpn;
   t.memo_bank <- code;
   t.memo_slot <- s;
-  b.slots.(s)
+  code
 
 let lookup t addr =
   let vpn = Addr.pfn addr ~size:Addr.page_size_4k in
-  let result =
+  let code =
     if vpn = t.memo_vpn then begin
-      let b = bank_of_code t t.memo_bank in
-      touch t b t.memo_slot;
-      b.slots.(t.memo_slot)
+      touch t (bank_of_code t t.memo_bank) t.memo_slot;
+      t.memo_bank
     end
     else
       (* First match wins, in the same class order the linear TLB used. *)
@@ -119,16 +118,11 @@ let lookup t addr =
         if s >= 0 then hit t vpn 1 t.b2m s
         else
           let s = bank_slot t.b1g (Addr.pfn addr ~size:Addr.page_size_1g) in
-          if s >= 0 then hit t vpn 2 t.b1g s else None
+          if s >= 0 then hit t vpn 2 t.b1g s else -1
   in
   if !Covirt_obs.Metrics.on then
-    Covirt_obs.Metrics.add
-      (Lazy.force (match result with Some _ -> m_hit | None -> m_miss))
-      1;
-  result
-
-let lookup_hit t addr =
-  match lookup t addr with Some _ -> true | None -> false
+    Covirt_obs.Metrics.add (Lazy.force (if code >= 0 then m_hit else m_miss)) 1;
+  code
 (* warm-end *)
 
 let install t addr ~page_size =
@@ -137,7 +131,6 @@ let install t addr ~page_size =
   let vpn = Addr.pfn addr ~size:(Addr.bytes_of_page_size page_size) in
   let b = bank_for t page_size in
   let base = vpn land (b.sets - 1) * b.ways in
-  let entry = Some { vpn; page_size } in
   (* One O(ways) probe decides: refresh an existing translation, fill
      a free way, or evict the pseudo-LRU victim. *)
   let victim = ref (-1) in
@@ -145,20 +138,20 @@ let install t addr ~page_size =
   let stalest = ref base in
   for w = b.ways - 1 downto 0 do
     let slot = base + w in
-    match b.slots.(slot) with
-    | Some e -> if e.vpn = vpn then victim := slot
-        else if b.stamps.(slot) <= b.stamps.(!stalest) then stalest := slot
-    | None -> free := slot
+    let v = b.vpns.(slot) in
+    if v = empty then free := slot
+    else if v = vpn then victim := slot
+    else if b.stamps.(slot) <= b.stamps.(!stalest) then stalest := slot
   done;
   let slot =
     if !victim >= 0 then !victim else if !free >= 0 then !free else !stalest
   in
-  b.slots.(slot) <- entry;
+  b.vpns.(slot) <- vpn;
   touch t b slot;
   clear_memo t
 
 let flush_all t =
-  let wipe b = Array.fill b.slots 0 (Array.length b.slots) None in
+  let wipe b = Array.fill b.vpns 0 (Array.length b.vpns) empty in
   wipe t.b4k;
   wipe t.b2m;
   wipe t.b1g;
@@ -179,10 +172,8 @@ let flush_range t region =
     let clear_set set =
       let base = set * b.ways in
       for w = 0 to b.ways - 1 do
-        match b.slots.(base + w) with
-        | Some e when e.vpn >= vpn_lo && e.vpn <= vpn_hi ->
-            b.slots.(base + w) <- None
-        | Some _ | None -> ()
+        let v = b.vpns.(base + w) in
+        if v >= vpn_lo && v <= vpn_hi then b.vpns.(base + w) <- empty
       done
     in
     if vpn_hi - vpn_lo + 1 >= b.sets then
@@ -195,7 +186,7 @@ let flush_range t region =
 
 let entry_count t =
   let live b =
-    Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) 0 b.slots
+    Array.fold_left (fun n v -> if v = empty then n else n + 1) 0 b.vpns
   in
   live t.b4k + live t.b2m + live t.b1g
 

@@ -13,8 +13,8 @@
       path, where simulating per-access entries would be absurdly
       slow.
 
-    Entries are tagged with the page size they were installed at, so
-    EPT large-page coalescing changes both reach and walk cost.
+    Each page size has its own bank of entries, so EPT large-page
+    coalescing changes both reach and walk cost.
 
     The stateful TLB is set-associative (see {!Cost_model.tlb_geometry}):
     each size class is a bank of power-of-two sets indexed by
@@ -29,12 +29,8 @@
     Each TLB also remembers its last hit: the 4K page number looked
     up, and the bank and slot that answered.  A lookup of the same 4K
     page skips the probes but touches the same slot, counts the same
-    hit and returns the same entry, so the memo changes host time
+    hit and returns the same bank, so the memo changes host time
     only.  [install], [flush_all] and [flush_range] clear it. *)
-
-type entry = { vpn : int; page_size : Addr.page_size }
-(** A cached translation: virtual page number and the size it was
-    installed at. *)
 
 type t
 (** A stateful per-CPU TLB (all size-class banks). *)
@@ -42,22 +38,18 @@ type t
 val create : model:Cost_model.t -> t
 (** Fresh, empty TLB with the geometry [model] prescribes. *)
 
-val lookup : t -> Addr.t -> entry option
-(** Hit if a valid entry covers the address.  Allocation-free on both
-    outcomes: a hit returns the option stored in the slot array itself
-    and a miss is the immediate [None], so the warm translation path
-    never touches the minor heap (asserted by the bench allocation
-    gate and the zero-allocation tests). *)
-
-val lookup_hit : t -> Addr.t -> bool
-(** [lookup] collapsed to its outcome — the unboxed entry point the
-    machine's granular translation path uses.  Identical probe, touch
-    and observability behaviour to {!lookup}. *)
+val lookup : t -> Addr.t -> int
+(** [-1] on a miss; on a hit, the {!Addr.page_size_code} of the bank
+    whose entry covers the address (the 4K bank is probed first, then
+    2M, then 1G).  Allocation-free on both outcomes, so the warm
+    translation path never touches the minor heap (asserted by the
+    bench allocation gate and the zero-allocation tests). *)
 
 val install : t -> Addr.t -> page_size:Addr.page_size -> unit
-(** Install the translation covering [addr]; refreshes the entry in
-    place if present, else fills a free way, else evicts the
-    pseudo-LRU victim of the indexed set. *)
+(** Install the translation covering [addr] in the [page_size] bank;
+    refreshes the entry in place if present, else fills a free way,
+    else evicts the pseudo-LRU victim of the indexed set.  Allocates
+    nothing. *)
 
 val geometry : t -> Addr.page_size -> int * int
 (** [(sets, ways)] of the bank holding entries of this page size. *)

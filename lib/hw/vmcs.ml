@@ -17,55 +17,53 @@ type guest_state = {
 }
 
 type exit_reason =
-  | Ept_violation of Ept.violation
-  | Icr_write of Apic.icr
-  | Msr_access of { msr : int; write : bool; value : int64 }
-  | Io_access of { port : int; write : bool; value : int }
+  | Ept_violation
+  | Icr_write
+  | Msr_access
+  | Io_access
   | Cpuid
   | Xsetbv
   | Hlt
-  | External_interrupt of { vector : int }
+  | External_interrupt
   | Nmi_exit
-  | Abort of { what : string }
+  | Abort
+
+type exit_info = {
+  mutable reason : exit_reason;
+  mutable qual : int;
+  mutable addr : int;
+  mutable value : int;
+  mutable msr_value : int64;
+  mutable what : string;
+}
+
+let ept_present = 4
 
 type action = Resume | Skip | Kill of { reason : string }
-
-type stats = {
-  mutable exits_total : int;
-  mutable exits_ept : int;
-  mutable exits_icr : int;
-  mutable exits_msr : int;
-  mutable exits_io : int;
-  mutable exits_interrupt : int;
-  mutable exits_nmi : int;
-  mutable exits_hlt : int;
-  mutable exits_emul : int;
-  mutable exits_abort : int;
-}
 
 type t = {
   vcpu : int;
   enclave : int;
   guest : guest_state;
   mutable controls : controls;
-  mutable exit_handler : (exit_reason -> action) option;
+  mutable exit_handler : (exit_info -> action) option;
   mutable launched : bool;
-  stats : stats;
+  exit : exit_info;
+  exits : int array;
 }
 
-let fresh_stats () =
-  {
-    exits_total = 0;
-    exits_ept = 0;
-    exits_icr = 0;
-    exits_msr = 0;
-    exits_io = 0;
-    exits_interrupt = 0;
-    exits_nmi = 0;
-    exits_hlt = 0;
-    exits_emul = 0;
-    exits_abort = 0;
-  }
+(* A constant constructor is represented by its declaration index, so
+   this is the identity on the machine word, not a lookup. *)
+let code (r : exit_reason) : int = Obj.magic r
+
+let exit_reason_names =
+  [|
+    "ept-violation"; "icr-write"; "msr-access"; "io-access"; "cpuid";
+    "xsetbv"; "hlt"; "external-interrupt"; "nmi"; "abort";
+  |]
+
+let exit_reason_arms = Array.length exit_reason_names
+let () = assert (code Abort = exit_reason_arms - 1)
 
 let create ~vcpu ~enclave ~guest ~controls =
   {
@@ -75,70 +73,17 @@ let create ~vcpu ~enclave ~guest ~controls =
     controls;
     exit_handler = None;
     launched = false;
-    stats = fresh_stats ();
+    exit =
+      { reason = Hlt; qual = 0; addr = 0; value = 0; msr_value = 0L; what = "" };
+    exits = Array.make exit_reason_arms 0;
   }
 
 let no_controls =
   { ept = None; msr_bitmap = None; io_bitmap = None; vapic = Vapic_off }
 
-let note_exit t reason =
-  let s = t.stats in
-  s.exits_total <- s.exits_total + 1;
-  match reason with
-  | Ept_violation _ -> s.exits_ept <- s.exits_ept + 1
-  | Icr_write _ -> s.exits_icr <- s.exits_icr + 1
-  | Msr_access _ -> s.exits_msr <- s.exits_msr + 1
-  | Io_access _ -> s.exits_io <- s.exits_io + 1
-  | External_interrupt _ -> s.exits_interrupt <- s.exits_interrupt + 1
-  | Nmi_exit -> s.exits_nmi <- s.exits_nmi + 1
-  | Hlt -> s.exits_hlt <- s.exits_hlt + 1
-  | Cpuid | Xsetbv -> s.exits_emul <- s.exits_emul + 1
-  | Abort _ -> s.exits_abort <- s.exits_abort + 1
-
-(* Dense arm index for the coverage map — one code per constructor, in
-   declaration order, so the replay layer's coverage bitset can key on
-   (arm x handler outcome) without depending on this type's shape. *)
-let exit_reason_code = function
-  | Ept_violation _ -> 0
-  | Icr_write _ -> 1
-  | Msr_access _ -> 2
-  | Io_access _ -> 3
-  | Cpuid -> 4
-  | Xsetbv -> 5
-  | Hlt -> 6
-  | External_interrupt _ -> 7
-  | Nmi_exit -> 8
-  | Abort _ -> 9
-
-let exit_reason_arms = 10
-
-let exit_reason_name = function
-  | Ept_violation _ -> "ept-violation"
-  | Icr_write _ -> "icr-write"
-  | Msr_access _ -> "msr-access"
-  | Io_access _ -> "io-access"
-  | Cpuid -> "cpuid"
-  | Xsetbv -> "xsetbv"
-  | Hlt -> "hlt"
-  | External_interrupt _ -> "external-interrupt"
-  | Nmi_exit -> "nmi"
-  | Abort _ -> "abort"
-
-let pp_exit_reason ppf = function
-  | Ept_violation v ->
-      Format.fprintf ppf "EPT-violation(gpa=%a,%s)" Addr.pp v.Ept.gpa
-        (match v.Ept.reason with
-        | `Not_mapped -> "not-mapped"
-        | `Perm_denied -> "perm")
-  | Icr_write icr -> Format.fprintf ppf "ICR-write(%a)" Apic.pp_icr icr
-  | Msr_access { msr; write; _ } ->
-      Format.fprintf ppf "MSR-%s(0x%x)" (if write then "write" else "read") msr
-  | Io_access { port; write; _ } ->
-      Format.fprintf ppf "IO-%s(0x%x)" (if write then "out" else "in") port
-  | Cpuid -> Format.pp_print_string ppf "CPUID"
-  | Xsetbv -> Format.pp_print_string ppf "XSETBV"
-  | Hlt -> Format.pp_print_string ppf "HLT"
-  | External_interrupt { vector } ->
-      Format.fprintf ppf "external-interrupt(%d)" vector
-  | Nmi_exit -> Format.pp_print_string ppf "NMI"
-  | Abort { what } -> Format.fprintf ppf "abort(%s)" what
+let set_exit t reason ~qual ~addr ~value =
+  let x = t.exit in
+  x.reason <- reason;
+  x.qual <- qual;
+  x.addr <- addr;
+  x.value <- value

@@ -34,44 +34,59 @@ type guest_state = {
 }
 
 type exit_reason =
-  | Ept_violation of Ept.violation
-  | Icr_write of Apic.icr
-  | Msr_access of { msr : int; write : bool; value : int64 }
-  | Io_access of { port : int; write : bool; value : int }
+  | Ept_violation
+  | Icr_write
+  | Msr_access
+  | Io_access
   | Cpuid
   | Xsetbv
   | Hlt
-  | External_interrupt of { vector : int }
+  | External_interrupt
   | Nmi_exit
-  | Abort of { what : string }
-      (** double fault / triple fault class errors *)
+  | Abort  (** double fault / triple fault class errors *)
+(** The basic exit reason.  Constant constructors only, so a reason is
+    an immediate: {!code} is its declaration index and storing one pays
+    no write barrier.  [Abort] stays last.  What the exit carries lives
+    in {!exit_info}. *)
+
+type exit_info = {
+  mutable reason : exit_reason;
+  mutable qual : int;
+      (** qualification.  EPT violation: access (0 read, 1 write,
+          2 exec), plus [ept_present] when a translation exists (the
+          permission was denied); ICR write: delivery kind
+          ({!Apic.kind_code}); MSR and I/O access: 1 write, 0 read *)
+  mutable addr : int;
+      (** EPT violation: faulting GPA; ICR write: destination core;
+          MSR access: MSR number; I/O access: port *)
+  mutable value : int;
+      (** ICR write and external interrupt: vector; I/O access: the
+          value written *)
+  mutable msr_value : int64;  (** MSR access: the value written *)
+  mutable what : string;  (** abort: what went wrong *)
+}
+(** The exit information fields, one preallocated record per VMCS.
+    The machine's exit site fills it, {!Vmx.deliver_exit} hands it to
+    the handler; the next exit on this VMCS overwrites it. *)
+
+val ept_present : int
+(** The EPT-violation qualification bit set when a translation exists
+    but lacks the permission (clear: nothing is mapped). *)
 
 type action =
   | Resume  (** retry / continue the guest (after emulation) *)
   | Skip  (** suppress the trapped operation (e.g. drop an errant IPI) *)
   | Kill of { reason : string }  (** terminate the enclave *)
 
-type stats = {
-  mutable exits_total : int;
-  mutable exits_ept : int;
-  mutable exits_icr : int;
-  mutable exits_msr : int;
-  mutable exits_io : int;
-  mutable exits_interrupt : int;
-  mutable exits_nmi : int;
-  mutable exits_hlt : int;
-  mutable exits_emul : int;  (** cpuid/xsetbv *)
-  mutable exits_abort : int;
-}
-
 type t = {
   vcpu : int;  (** core this context is bound to *)
   enclave : int;
   guest : guest_state;
   mutable controls : controls;
-  mutable exit_handler : (exit_reason -> action) option;
+  mutable exit_handler : (exit_info -> action) option;
   mutable launched : bool;
-  stats : stats;
+  exit : exit_info;  (** the exit information fields *)
+  exits : int array;  (** delivered exits, indexed by {!code} *)
 }
 
 val create :
@@ -80,24 +95,18 @@ val create :
 val no_controls : controls
 (** Everything off: the "Covirt with no features" configuration. *)
 
-val note_exit : t -> exit_reason -> unit
-(** Update the per-reason counters. *)
+val code : exit_reason -> int
+(** The reason's declaration index, [0 .. exit_reason_arms - 1]. *)
 
-val exit_reason_name : exit_reason -> string
-(** Stable, payload-free short name for an exit reason
-    (["ept-violation"], ["icr-write"], ...) — the metric/trace label
-    dimension used by the observability layer. *)
-
-val exit_reason_code : exit_reason -> int
-(** Dense arm index ([0 .. exit_reason_arms - 1]) in declaration
-    order — the coverage-map key the replay fuzzer's guidance uses.
-    Adding a constructor must extend this (the compiler enforces it)
-    and bump {!exit_reason_arms}. *)
+val exit_reason_names : string array
+(** Stable short name of each reason, indexed by {!code}
+    (["ept-violation"], ["icr-write"], ...): the metric/trace label and
+    the coverage-map arm name.  The one table a new reason extends. *)
 
 val exit_reason_arms : int
-(** Number of {!exit_reason} constructors (the coverage-map arm
-    dimension). *)
+(** Number of reasons: the length of {!exit_reason_names}. *)
 
-val pp_exit_reason : Format.formatter -> exit_reason -> unit
-(** Full rendering including the reason's payload (faulting GPA, MSR
-    number, vector, ...). *)
+val set_exit : t -> exit_reason -> qual:int -> addr:int -> value:int -> unit
+(** Fill the exit information fields for the exit about to be
+    delivered (an MSR write or abort site sets [msr_value] or [what]
+    as well).  Allocates nothing. *)

@@ -18,12 +18,12 @@ val tap_on : bool ref
     {!deliver_exit} site pays exactly one branch when the tap is
     off. *)
 
-val exit_tap : (Cpu.t -> Vmcs.t -> Vmcs.exit_reason -> unit) ref
-(** Called for every delivered exit while [tap_on] — before the
-    handler runs, so exits whose handler kills the enclave are
-    observed too.  The tap must never charge simulated cycles or draw
-    from any RNG: recording armed is byte-identical to recording
-    off. *)
+val exit_tap : (Cpu.t -> Vmcs.t -> unit) ref
+(** Called for every delivered exit while [tap_on], with the VMCS's
+    exit record filled — before the handler runs, so exits whose
+    handler kills the enclave are observed too.  The tap must never
+    charge simulated cycles or draw from any RNG: recording armed is
+    byte-identical to recording off. *)
 
 val cov_on : bool ref
 (** Arms {!cov_exit_tap}.  Do not flip directly — the
@@ -31,7 +31,7 @@ val cov_on : bool ref
     across domains.  One branch per delivered exit when off. *)
 
 val cov_exit_tap : (int -> int -> unit) ref
-(** Called while [cov_on] with ({!Vmcs.exit_reason_code},
+(** Called while [cov_on] with ({!Vmcs.code} of the reason,
     handler-outcome code: 0 resume, 1 skip, 2 kill) for every
     delivered exit — the (arm x outcome) coverage edge.  Must never
     charge simulated cycles or draw randomness: collection armed is
@@ -43,13 +43,14 @@ val vmlaunch : model:Cost_model.t -> Cpu.t -> Vmcs.t -> unit
     launched.  [Invalid_argument] if the core is already in guest
     mode. *)
 
-val deliver_exit : model:Cost_model.t -> Cpu.t -> Vmcs.t ->
-  Vmcs.exit_reason -> [ `Resume | `Skip ]
-(** Charge a full exit round trip plus dispatch, bump the exit
-    statistics, run the handler.  A [Kill] action raises
-    {!Vm_terminated} after marking the core offline (the paper's
-    "safely halting the CPU"), so only [`Resume] and [`Skip] are ever
-    returned. *)
+val deliver_exit : model:Cost_model.t -> Cpu.t -> Vmcs.t -> [ `Resume | `Skip ]
+(** Deliver the exit described by the VMCS's exit record (filled by
+    the caller, see {!Vmcs.set_exit}): charge a full exit round trip
+    plus dispatch, count it in [Vmcs.exits], run the handler on the
+    record.  Allocates nothing unless the handler does or kills.  A
+    [Kill] action raises {!Vm_terminated} after marking the core
+    offline (the paper's "safely halting the CPU"), so only [`Resume]
+    and [`Skip] are ever returned. *)
 
 val vmexit_cost : model:Cost_model.t -> int
 (** The charged cost of one exit round trip including dispatch. *)

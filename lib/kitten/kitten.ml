@@ -50,14 +50,18 @@ let context t ~core =
 (* ------------------------------------------------------------------ *)
 (* Interrupt service.                                                  *)
 
-let isr t (cpu : Cpu.t) vector =
-  let c = { machine = t.mach; kernel = t; cpu } in
+(* warm-begin: a delivered interrupt allocates nothing.  Each core's
+   context is built once, when its ISR is installed; the handler lookup
+   raises instead of boxing an option. *)
+let isr (c : ctx) (_ : Cpu.t) vector =
+  let t = c.kernel in
   t.stats.irqs <- t.stats.irqs + 1;
   if vector = timer_vector then t.stats.ticks <- t.stats.ticks + 1
   else
-    match Hashtbl.find_opt t.irq_handlers vector with
-    | Some handler -> handler c vector
-    | None -> t.stats.spurious_irqs <- t.stats.spurious_irqs + 1
+    match Hashtbl.find t.irq_handlers vector with
+    | handler -> handler c vector
+    | exception Not_found -> t.stats.spurious_irqs <- t.stats.spurious_irqs + 1
+(* warm-end *)
 
 let register_irq t ~vector handler = Hashtbl.replace t.irq_handlers vector handler
 
@@ -168,7 +172,7 @@ let boot_core_body instance_ref machine enclave (cpu : Cpu.t) ~bsp params =
   end;
   (match !instance_ref with
   | Some t ->
-      cpu.Cpu.isr <- Some (isr t);
+      cpu.Cpu.isr <- Some (isr { machine = t.mach; kernel = t; cpu });
       (* load CR3: every core runs on the shared kernel page table *)
       cpu.Cpu.guest_pt <- Some t.page_table
   | None -> ());

@@ -101,15 +101,6 @@ let of_bytes s =
 
 (* --- edge names ------------------------------------------------------ *)
 
-(* Arm names in Vmcs.exit_reason_code order; the length assert keeps
-   this table honest when a constructor is added. *)
-let exit_arm_names =
-  [|
-    "ept-violation"; "icr-write"; "msr-access"; "io-access"; "cpuid";
-    "xsetbv"; "hlt"; "external-interrupt"; "nmi"; "abort";
-  |]
-
-let () = assert (Array.length exit_arm_names = Vmcs.exit_reason_arms)
 let outcome_names = [| "resume"; "skip"; "kill" |]
 
 let ept_names =
@@ -134,7 +125,7 @@ let edge_name i =
   if i < 0 || i >= total then invalid_arg "Coverage.edge_name"
   else if i < ept_base then
     Printf.sprintf "exit:%s/%s"
-      exit_arm_names.(i / outcome_arms)
+      Vmcs.exit_reason_names.(i / outcome_arms)
       outcome_names.(i mod outcome_arms)
   else if i < fault_base then "ept:" ^ ept_names.(i - ept_base)
   else if i < san_base then "fault:" ^ fault_names.(i - fault_base)

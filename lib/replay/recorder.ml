@@ -22,63 +22,54 @@ module Fault_injector = Covirt_resilience.Fault_injector
 
 (* --- payload conversions -------------------------------------------- *)
 
-let of_exit_reason : Vmcs.exit_reason -> Trace.exit_payload = function
-  | Vmcs.Ept_violation { Ept.gpa; access; reason } ->
+let of_exit (x : Vmcs.exit_info) : Trace.exit_payload =
+  match x.Vmcs.reason with
+  | Vmcs.Ept_violation ->
       Trace.X_ept
         {
-          gpa;
-          access = (match access with `Read -> 0 | `Write -> 1 | `Exec -> 2);
-          not_mapped = (reason = `Not_mapped);
+          gpa = x.Vmcs.addr;
+          access = x.Vmcs.qual land 3;
+          not_mapped = x.Vmcs.qual land Vmcs.ept_present = 0;
         }
-  | Vmcs.Icr_write { Apic.dest; vector; kind } ->
-      Trace.X_icr
-        {
-          dest;
-          vector;
-          kind =
-            (match kind with
-            | Apic.Fixed -> 0
-            | Apic.Nmi -> 1
-            | Apic.Init -> 2
-            | Apic.Startup -> 3);
-        }
-  | Vmcs.Msr_access { msr; write; value } -> Trace.X_msr { msr; write; value }
-  | Vmcs.Io_access { port; write; value } -> Trace.X_io { port; write; value }
+  | Vmcs.Icr_write ->
+      Trace.X_icr { dest = x.Vmcs.addr; vector = x.Vmcs.value; kind = x.Vmcs.qual }
+  | Vmcs.Msr_access ->
+      Trace.X_msr
+        { msr = x.Vmcs.addr; write = x.Vmcs.qual = 1; value = x.Vmcs.msr_value }
+  | Vmcs.Io_access ->
+      Trace.X_io
+        { port = x.Vmcs.addr; write = x.Vmcs.qual = 1; value = x.Vmcs.value }
   | Vmcs.Cpuid -> Trace.X_cpuid
   | Vmcs.Xsetbv -> Trace.X_xsetbv
   | Vmcs.Hlt -> Trace.X_hlt
-  | Vmcs.External_interrupt { vector } -> Trace.X_intr { vector }
+  | Vmcs.External_interrupt -> Trace.X_intr { vector = x.Vmcs.value }
   | Vmcs.Nmi_exit -> Trace.X_nmi
-  | Vmcs.Abort { what } -> Trace.X_abort { what }
+  | Vmcs.Abort -> Trace.X_abort { what = x.Vmcs.what }
 
-let to_exit_reason : Trace.exit_payload -> Vmcs.exit_reason = function
+let load_exit (vmcs : Vmcs.t) : Trace.exit_payload -> unit =
+  let set = Vmcs.set_exit vmcs in
+  let flag b = if b then 1 else 0 in
+  function
   | Trace.X_ept { gpa; access; not_mapped } ->
-      Vmcs.Ept_violation
-        {
-          Ept.gpa;
-          access = (match access with 0 -> `Read | 1 -> `Write | _ -> `Exec);
-          reason = (if not_mapped then `Not_mapped else `Perm_denied);
-        }
+      set Vmcs.Ept_violation
+        ~qual:(access lor if not_mapped then 0 else Vmcs.ept_present)
+        ~addr:gpa ~value:0
   | Trace.X_icr { dest; vector; kind } ->
-      Vmcs.Icr_write
-        {
-          Apic.dest;
-          vector;
-          kind =
-            (match kind with
-            | 0 -> Apic.Fixed
-            | 1 -> Apic.Nmi
-            | 2 -> Apic.Init
-            | _ -> Apic.Startup);
-        }
-  | Trace.X_msr { msr; write; value } -> Vmcs.Msr_access { msr; write; value }
-  | Trace.X_io { port; write; value } -> Vmcs.Io_access { port; write; value }
-  | Trace.X_cpuid -> Vmcs.Cpuid
-  | Trace.X_xsetbv -> Vmcs.Xsetbv
-  | Trace.X_hlt -> Vmcs.Hlt
-  | Trace.X_intr { vector } -> Vmcs.External_interrupt { vector }
-  | Trace.X_nmi -> Vmcs.Nmi_exit
-  | Trace.X_abort { what } -> Vmcs.Abort { what }
+      set Vmcs.Icr_write ~qual:kind ~addr:dest ~value:vector
+  | Trace.X_msr { msr; write; value } ->
+      vmcs.Vmcs.exit.Vmcs.msr_value <- value;
+      set Vmcs.Msr_access ~qual:(flag write) ~addr:msr ~value:0
+  | Trace.X_io { port; write; value } ->
+      set Vmcs.Io_access ~qual:(flag write) ~addr:port ~value
+  | Trace.X_cpuid -> set Vmcs.Cpuid ~qual:0 ~addr:0 ~value:0
+  | Trace.X_xsetbv -> set Vmcs.Xsetbv ~qual:0 ~addr:0 ~value:0
+  | Trace.X_hlt -> set Vmcs.Hlt ~qual:0 ~addr:0 ~value:0
+  | Trace.X_intr { vector } ->
+      set Vmcs.External_interrupt ~qual:0 ~addr:0 ~value:vector
+  | Trace.X_nmi -> set Vmcs.Nmi_exit ~qual:0 ~addr:0 ~value:0
+  | Trace.X_abort { what } ->
+      vmcs.Vmcs.exit.Vmcs.what <- what;
+      set Vmcs.Abort ~qual:0 ~addr:0 ~value:0
 
 let of_fault : Fault_injector.fault -> Trace.fault_payload = function
   | Fault_injector.Wild_write a -> Trace.F_wild a
@@ -147,7 +138,7 @@ let push ev =
    and another disarming is harmless. *)
 let armed = Atomic.make 0
 
-let exit_tap cpu (vmcs : Vmcs.t) reason =
+let exit_tap cpu (vmcs : Vmcs.t) =
   let d = dls () in
   if d.recording then
     push
@@ -157,7 +148,7 @@ let exit_tap cpu (vmcs : Vmcs.t) reason =
            cpu = cpu.Cpu.id;
            enclave = vmcs.Vmcs.enclave;
            tsc = cpu.Cpu.tsc;
-           reason = of_exit_reason reason;
+           reason = of_exit vmcs.Vmcs.exit;
          })
 
 let fault_tap fault =

@@ -23,7 +23,11 @@ module Fault_injector = Covirt_resilience.Fault_injector
     {!Covirt_hw.Vmcs.exit_reason} grows a constructor, this module
     fails to compile instead of the format drifting. *)
 
-val to_exit_reason : Trace.exit_payload -> Vmcs.exit_reason
+val load_exit : Vmcs.t -> Trace.exit_payload -> unit
+(** Fill the VMCS's exit record from a trace payload, ready for
+    {!Covirt_hw.Vmx.deliver_exit}: the inverse of what the exit tap
+    records. *)
+
 val to_fault : Trace.fault_payload -> Fault_injector.fault
 
 (** {1 Recording} *)

@@ -273,10 +273,10 @@ let one_trial ~config ~slot ~trial_seed ~mode =
                      let cpu = Machine.cpu machine bsp in
                      match Cpu.vmcs cpu with
                      | Some vmcs ->
+                         Recorder.load_exit vmcs reason;
                          ignore
                            (Vmx.deliver_exit ~model:machine.Machine.model cpu
-                              vmcs
-                              (Recorder.to_exit_reason reason))
+                              vmcs)
                      | None -> ())
              | Trace.Corrupt { cls; _ } ->
                  Recorder.note ev;

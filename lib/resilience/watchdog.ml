@@ -33,7 +33,7 @@ let signature t (enclave : Enclave.t) =
     | Some inst ->
         List.fold_left
           (fun acc (_, hv) ->
-            acc + (Covirt.Hypervisor.vmcs hv).Vmcs.stats.Vmcs.exits_total)
+            Array.fold_left ( + ) acc (Covirt.Hypervisor.vmcs hv).Vmcs.exits)
           0 inst.Covirt.Controller.hypervisors
   in
   (exits, Ctrl_channel.enclave_messages_sent enclave.Enclave.channel)

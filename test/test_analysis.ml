@@ -323,8 +323,7 @@ let test_revoke_single_dest () =
   Covirt.Whitelist.grant wl ~vector:0x41 ~dest:4;
   Covirt.Whitelist.revoke ~dest:4 wl ~vector:0x40;
   let permits dest vector =
-    Covirt.Whitelist.permits wl
-      ~icr:{ Covirt_hw.Apic.dest; vector; kind = Covirt_hw.Apic.Fixed }
+    Covirt.Whitelist.permits wl ~dest ~vector ~kind:Covirt_hw.Apic.Fixed
   in
   Alcotest.(check bool) "revoked pair dropped" false (permits 4 0x40);
   Alcotest.(check bool) "same vector, other dest survives" true (permits 5 0x40);

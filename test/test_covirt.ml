@@ -40,7 +40,7 @@ let test_command_queue_bounds () =
 let test_whitelist_semantics () =
   let wl = Covirt.Whitelist.create ~enclave_cores:[ 1; 2 ] in
   let permits ~dest ~vector ~kind =
-    Covirt.Whitelist.permits wl ~icr:{ Apic.dest; vector; kind }
+    Covirt.Whitelist.permits wl ~dest ~vector ~kind
   in
   Alcotest.(check bool) "intra-enclave fixed ok" true
     (permits ~dest:2 ~vector:0x99 ~kind:Apic.Fixed);
@@ -179,7 +179,7 @@ let test_map_requires_no_hypervisor_invocation () =
   let nmi_exits () =
     List.fold_left
       (fun acc (_, hv) ->
-        acc + (Covirt.Hypervisor.vmcs hv).Vmcs.stats.Vmcs.exits_nmi)
+        acc + (Covirt.Hypervisor.vmcs hv).Vmcs.exits.(Vmcs.code Vmcs.Nmi_exit))
       0 inst.Covirt.Controller.hypervisors
   in
   let before = nmi_exits () in

@@ -178,8 +178,10 @@ let test_guest_boot_exit_counts () =
       let total_emul =
         List.fold_left
           (fun acc (_, hv) ->
+            let exits = (Covirt.Hypervisor.vmcs hv).Vmcs.exits in
             acc
-            + (Covirt.Hypervisor.vmcs hv).Vmcs.stats.Vmcs.exits_emul)
+            + exits.(Vmcs.code Vmcs.Cpuid)
+            + exits.(Vmcs.code Vmcs.Xsetbv))
           0 inst.Covirt.Controller.hypervisors
       in
       (* cpuid + xsetbv on each of 2 cores *)

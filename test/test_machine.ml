@@ -63,13 +63,13 @@ let test_guest_ept_violation_exits () =
   let exits = ref [] in
   let cpu, vmcs =
     enter_guest m ~core:1 ~enclave:1 ~ept:(Ept.create ())
-      (fun reason ->
-        exits := reason :: !exits;
+      (fun x ->
+        exits := x.Vmcs.reason :: !exits;
         Vmcs.Kill { reason = "violation" })
   in
   Helpers.expect_crash "ept violation" (fun () -> Machine.store m cpu 0x2000);
   Alcotest.(check int) "one exit" 1 (List.length !exits);
-  Alcotest.(check int) "stat counted" 1 vmcs.Vmcs.stats.Vmcs.exits_ept;
+  Alcotest.(check int) "stat counted" 1 vmcs.Vmcs.exits.(Vmcs.code Vmcs.Ept_violation);
   Alcotest.(check bool) "core offline" true (not cpu.Cpu.online);
   (* the wild write never reached memory: no panic, no corruption *)
   Alcotest.(check bool) "no panic" true (Machine.panicked m = None)
@@ -84,7 +84,7 @@ let test_guest_ept_mapped_access_ok () =
   in
   Machine.store m cpu r.Region.base;
   Machine.load m cpu (r.Region.base + 8);
-  Alcotest.(check int) "no exits" 0 vmcs.Vmcs.stats.Vmcs.exits_total
+  Alcotest.(check int) "no exits" 0 (Array.fold_left ( + ) 0 vmcs.Vmcs.exits)
 
 let test_stale_tlb_window () =
   (* The dangerous window Covirt's flush protocol closes: translate
@@ -132,9 +132,9 @@ let test_msr_trap_and_native () =
   let cpu, _ =
     enter_guest m2 ~core:1 ~enclave:1
       ~msr_bitmap:(Msr.Bitmap.default_sensitive ())
-      (fun reason ->
-        match reason with
-        | Vmcs.Msr_access _ ->
+      (fun x ->
+        match x.Vmcs.reason with
+        | Vmcs.Msr_access ->
             incr trapped;
             Vmcs.Skip
         | _ -> Vmcs.Resume)
@@ -170,8 +170,8 @@ let test_emulated_instructions () =
   let m = machine () in
   let emuls = ref 0 in
   let cpu, vmcs =
-    enter_guest m ~core:1 ~enclave:1 (fun reason ->
-        match reason with
+    enter_guest m ~core:1 ~enclave:1 (fun x ->
+        match x.Vmcs.reason with
         | Vmcs.Cpuid | Vmcs.Xsetbv | Vmcs.Hlt ->
             incr emuls;
             Vmcs.Resume
@@ -181,8 +181,10 @@ let test_emulated_instructions () =
   Machine.xsetbv m cpu;
   Machine.hlt m cpu;
   Alcotest.(check int) "three emulations" 3 !emuls;
-  Alcotest.(check int) "emul stats" 2 vmcs.Vmcs.stats.Vmcs.exits_emul;
-  Alcotest.(check int) "hlt stat" 1 vmcs.Vmcs.stats.Vmcs.exits_hlt
+  Alcotest.(check int) "emul stats" 2
+    (vmcs.Vmcs.exits.(Vmcs.code Vmcs.Cpuid)
+    + vmcs.Vmcs.exits.(Vmcs.code Vmcs.Xsetbv));
+  Alcotest.(check int) "hlt stat" 1 vmcs.Vmcs.exits.(Vmcs.code Vmcs.Hlt)
 
 let test_abort_paths () =
   let m = machine () in
@@ -192,9 +194,9 @@ let test_abort_paths () =
       Machine.raise_abort m cpu1 ~what:"double fault");
   let m2 = machine () in
   let cpu, _ =
-    enter_guest m2 ~core:1 ~enclave:1 (fun reason ->
-        match reason with
-        | Vmcs.Abort _ -> Vmcs.Kill { reason = "abort" }
+    enter_guest m2 ~core:1 ~enclave:1 (fun x ->
+        match x.Vmcs.reason with
+        | Vmcs.Abort -> Vmcs.Kill { reason = "abort" }
         | _ -> Vmcs.Resume)
   in
   Helpers.expect_crash "guest abort contained" (fun () ->
@@ -215,22 +217,22 @@ let test_ipi_native_delivery () =
 let test_ipi_sender_trap_drop () =
   let m = machine () in
   let cpu, vmcs =
-    enter_guest m ~core:1 ~enclave:1 ~vapic:Vmcs.Vapic_full (fun reason ->
-        match reason with Vmcs.Icr_write _ -> Vmcs.Skip | _ -> Vmcs.Resume)
+    enter_guest m ~core:1 ~enclave:1 ~vapic:Vmcs.Vapic_full (fun x ->
+        match x.Vmcs.reason with Vmcs.Icr_write -> Vmcs.Skip | _ -> Vmcs.Resume)
   in
   let received = ref 0 in
   (Machine.cpu m 2).Cpu.isr <- Some (fun _ _ -> incr received);
   Machine.send_ipi m ~from:cpu ~dest:2 ~vector:0x40 ~kind:Apic.Fixed;
   Alcotest.(check int) "dropped" 0 !received;
-  Alcotest.(check int) "icr exit" 1 vmcs.Vmcs.stats.Vmcs.exits_icr
+  Alcotest.(check int) "icr exit" 1 vmcs.Vmcs.exits.(Vmcs.code Vmcs.Icr_write)
 
 let test_ipi_incoming_vapic_full_exits () =
   let m = machine () in
   let received = ref 0 in
   let dest_cpu, vmcs =
-    enter_guest m ~core:2 ~enclave:1 ~vapic:Vmcs.Vapic_full (fun reason ->
-        match reason with
-        | Vmcs.External_interrupt _ -> Vmcs.Resume
+    enter_guest m ~core:2 ~enclave:1 ~vapic:Vmcs.Vapic_full (fun x ->
+        match x.Vmcs.reason with
+        | Vmcs.External_interrupt -> Vmcs.Resume
         | _ -> Vmcs.Resume)
   in
   dest_cpu.Cpu.isr <- Some (fun _ _ -> incr received);
@@ -238,7 +240,7 @@ let test_ipi_incoming_vapic_full_exits () =
   src.Cpu.owner <- Owner.Enclave 1;
   Machine.send_ipi m ~from:src ~dest:2 ~vector:0x40 ~kind:Apic.Fixed;
   Alcotest.(check int) "delivered after exit" 1 !received;
-  Alcotest.(check int) "interrupt exit" 1 vmcs.Vmcs.stats.Vmcs.exits_interrupt
+  Alcotest.(check int) "interrupt exit" 1 vmcs.Vmcs.exits.(Vmcs.code Vmcs.External_interrupt)
 
 let test_ipi_incoming_piv_exitless () =
   let m = machine () in
@@ -254,7 +256,7 @@ let test_ipi_incoming_piv_exitless () =
   Machine.send_ipi m ~from:src ~dest:2 ~vector:0x40 ~kind:Apic.Fixed;
   Alcotest.(check int) "delivered" 1 !received;
   Alcotest.(check int) "no interrupt exits (exitless PIV)" 0
-    vmcs.Vmcs.stats.Vmcs.exits_interrupt
+    vmcs.Vmcs.exits.(Vmcs.code Vmcs.External_interrupt)
 
 let test_errant_exception_vector_kills_victim () =
   let m = machine () in
@@ -286,8 +288,8 @@ let test_nmi_doorbell () =
   let m = machine () in
   let nmis = ref 0 in
   let cpu, vmcs =
-    enter_guest m ~core:1 ~enclave:1 (fun reason ->
-        match reason with
+    enter_guest m ~core:1 ~enclave:1 (fun x ->
+        match x.Vmcs.reason with
         | Vmcs.Nmi_exit ->
             incr nmis;
             Vmcs.Skip
@@ -296,7 +298,7 @@ let test_nmi_doorbell () =
   ignore cpu;
   Machine.post_host_nmi m ~dest:1;
   Alcotest.(check int) "nmi exit" 1 !nmis;
-  Alcotest.(check int) "stat" 1 vmcs.Vmcs.stats.Vmcs.exits_nmi;
+  Alcotest.(check int) "stat" 1 vmcs.Vmcs.exits.(Vmcs.code Vmcs.Nmi_exit);
   (* host-mode NMI goes to the host handler *)
   let host_nmis = ref 0 in
   (Machine.cpu m 0).Cpu.nmi_handler <- Some (fun _ -> incr host_nmis);

@@ -38,7 +38,8 @@ let test_exit_without_handler_kills () =
   let cpu = Machine.cpu m 1 in
   let vmcs = stub_vmcs ~core:1 ~enclave:7 in
   Vmx.vmlaunch ~model:m.Machine.model cpu vmcs;
-  match Vmx.deliver_exit ~model:m.Machine.model cpu vmcs Vmcs.Cpuid with
+  Vmcs.set_exit vmcs Vmcs.Cpuid ~qual:0 ~addr:0 ~value:0;
+  match Vmx.deliver_exit ~model:m.Machine.model cpu vmcs with
   | exception Vmx.Vm_terminated { enclave; _ } ->
       Alcotest.(check int) "enclave id" 7 enclave
   | _ -> Alcotest.fail "handlerless exit must kill"
@@ -50,7 +51,8 @@ let test_exit_cost_charged () =
   vmcs.Vmcs.exit_handler <- Some (fun _ -> Vmcs.Resume);
   Vmx.vmlaunch ~model:m.Machine.model cpu vmcs;
   let before = Cpu.rdtsc cpu in
-  (match Vmx.deliver_exit ~model:m.Machine.model cpu vmcs Vmcs.Cpuid with
+  Vmcs.set_exit vmcs Vmcs.Cpuid ~qual:0 ~addr:0 ~value:0;
+  (match Vmx.deliver_exit ~model:m.Machine.model cpu vmcs with
   | `Resume -> ()
   | `Skip -> Alcotest.fail "expected resume");
   Alcotest.(check int) "exit roundtrip charged"
@@ -155,8 +157,6 @@ let test_pretty_printers () =
   in
   check_nonempty "icr"
     (Format.asprintf "%a" Apic.pp_icr { Apic.dest = 1; vector = 8; kind = Apic.Nmi });
-  check_nonempty "exit reason"
-    (Format.asprintf "%a" Vmcs.pp_exit_reason (Vmcs.Abort { what = "df" }));
   check_nonempty "command"
     (Format.asprintf "%a" Covirt.Command.pp_command Covirt.Command.Flush_tlb_all);
   check_nonempty "owner" (Owner.to_string (Owner.Device "nic"));

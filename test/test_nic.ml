@@ -52,7 +52,8 @@ let rx_exits ~config () =
   | Some inst ->
       List.fold_left
         (fun acc (_, hv) ->
-          acc + (Covirt.Hypervisor.vmcs hv).Vmcs.stats.Vmcs.exits_interrupt)
+          let exits = (Covirt.Hypervisor.vmcs hv).Vmcs.exits in
+          acc + exits.(Vmcs.code Vmcs.External_interrupt))
         0 inst.Covirt.Controller.hypervisors
 
 let test_rx_exit_behaviour_by_mode () =

@@ -104,7 +104,7 @@ let prop_tlb_never_lies_after_flush =
         pages;
       Tlb.flush_all tlb;
       List.for_all
-        (fun p -> Tlb.lookup tlb (p * Addr.page_size_4k) = None)
+        (fun p -> Tlb.lookup tlb (p * Addr.page_size_4k) < 0)
         pages)
 
 let prop_flush_range_selective =
@@ -117,8 +117,8 @@ let prop_flush_range_selective =
       Tlb.install tlb (addr kept_page) ~page_size:Addr.Page_4k;
       Tlb.flush_range tlb
         (Region.make ~base:(addr flushed_page) ~len:Addr.page_size_4k);
-      Tlb.lookup tlb (addr flushed_page) = None
-      && Tlb.lookup tlb (addr kept_page) <> None)
+      Tlb.lookup tlb (addr flushed_page) < 0
+      && Tlb.lookup tlb (addr kept_page) >= 0)
 
 (* --- Phys_mem conservation --- *)
 
@@ -389,12 +389,14 @@ let prop_whitelist_grant_revoke_involution =
     QCheck2.Gen.(pair (int_range 32 255) (int_range 0 9))
     (fun (vector, dest) ->
       let wl = Covirt.Whitelist.create ~enclave_cores:[ 1 ] in
-      let icr = { Apic.dest; vector; kind = Apic.Fixed } in
-      let before = Covirt.Whitelist.permits wl ~icr in
+      let permits () =
+        Covirt.Whitelist.permits wl ~dest ~vector ~kind:Apic.Fixed
+      in
+      let before = permits () in
       Covirt.Whitelist.grant wl ~vector ~dest;
-      let during = Covirt.Whitelist.permits wl ~icr in
+      let during = permits () in
       Covirt.Whitelist.revoke wl ~vector;
-      let after = Covirt.Whitelist.permits wl ~icr in
+      let after = permits () in
       during && after = before)
 
 let () =
