@@ -537,7 +537,10 @@ let lifecycle_benches () =
    [vmexit_roundtrip] delivers one exit of each reason that neither
    kills nor reports (an allowed ICR write, an MSR read, cpuid, xsetbv,
    hlt, an external interrupt, an NMI with nothing queued) on the
-   producer's core, through the hypervisor's installed handler; gated. *)
+   producer's core, through the hypervisor's installed handler; gated.
+   [vmexit_roundtrip_covered] is the same seven exits with the coverage
+   collector armed around them, so every exit dispatches through the
+   probe bus; gated. *)
 let path_benches () =
   let open Covirt_hw in
   let mib = Covirt_sim.Units.mib in
@@ -612,20 +615,30 @@ let path_benches () =
     Vmcs.set_exit vmcs reason ~qual ~addr ~value;
     ignore (Vmx.deliver_exit ~model cpu vmcs)
   in
+  let roundtrip () =
+    deliver Vmcs.Icr_write ~qual:(Apic.kind_code Apic.Fixed) ~addr:1
+      ~value:0x40;
+    deliver Vmcs.Msr_access ~qual:0 ~addr:Msr.ia32_pat ~value:0;
+    deliver Vmcs.Cpuid ~qual:0 ~addr:0 ~value:0;
+    deliver Vmcs.Xsetbv ~qual:0 ~addr:0 ~value:0;
+    deliver Vmcs.Hlt ~qual:0 ~addr:0 ~value:0;
+    deliver Vmcs.External_interrupt ~qual:0 ~addr:0 ~value:0xef;
+    deliver Vmcs.Nmi_exit ~qual:0 ~addr:0 ~value:0
+  in
   let vmexit_roundtrip =
     { mname = "vmexit_roundtrip"; gate = true; iters = floor_iters;
+      fn = roundtrip }
+  in
+  let vmexit_roundtrip_covered =
+    { mname = "vmexit_roundtrip_covered"; gate = true; iters = floor_iters;
       fn =
         (fun () ->
-          deliver Vmcs.Icr_write ~qual:(Apic.kind_code Apic.Fixed) ~addr:1
-            ~value:0x40;
-          deliver Vmcs.Msr_access ~qual:0 ~addr:Msr.ia32_pat ~value:0;
-          deliver Vmcs.Cpuid ~qual:0 ~addr:0 ~value:0;
-          deliver Vmcs.Xsetbv ~qual:0 ~addr:0 ~value:0;
-          deliver Vmcs.Hlt ~qual:0 ~addr:0 ~value:0;
-          deliver Vmcs.External_interrupt ~qual:0 ~addr:0 ~value:0xef;
-          deliver Vmcs.Nmi_exit ~qual:0 ~addr:0 ~value:0) }
+          Covirt_replay.Coverage.arm ();
+          roundtrip ();
+          Covirt_replay.Coverage.disarm ()) }
   in
-  [ store_hit; store_guest_hit; ipc_send; vmexit_roundtrip ]
+  [ store_hit; store_guest_hit; ipc_send; vmexit_roundtrip;
+    vmexit_roundtrip_covered ]
 
 (* Microbench estimates, collected for the JSON report.
    [micro_results] is the floor latency (best of N tight loops) — the

@@ -264,15 +264,10 @@ let m_walk_miss = lazy Covirt_obs.Metrics.(unlabeled (counter "ept.walk.miss"))
 let m_violation =
   lazy (Covirt_obs.Metrics.counter "ept.violation" ~max_series:8)
 
-(* Coverage tap (the replay fuzzer's guidance): walk-branch class
-   codes — 0 walk-cache hit, 1 walk-cache fill, 2 uncached walk,
-   3 PT-slot hit, 4 PT-slot fill, 5 violation/not-mapped,
-   6 violation/perm-denied.  Same contract as the obs cells above:
-   one [!cov_on] branch when disarmed, no cycles, no allocation
-   (the tap body is a bitset store), so arming never perturbs the
-   zero-GC warm path below. *)
-let cov_on = ref false
-let cov_tap : (int -> unit) ref = ref (fun _ -> ())
+(* Probe point: the walk-branch class taken — 0 walk-cache hit,
+   1 walk-cache fill, 2 uncached walk, 3 PT-slot hit, 4 PT-slot fill,
+   5 violation/not-mapped, 6 violation/perm-denied. *)
+let walk : (int, unit) Covirt_obs.Probe.point = Covirt_obs.Probe.point ()
 
 (* warm-begin: allocation-free walk.  A warm [find_leaf] is two array
    reads and an int compare; the per-4K slot answers are the stored
@@ -284,7 +279,7 @@ let cov_tap : (int -> unit) ref = ref (fun _ -> ())
 let find_leaf t addr =
   match t.walk_cache with
   | None ->
-      if !cov_on then !cov_tap 2;
+      if !Covirt_obs.Probe.on then Covirt_obs.Probe.fire walk 2 ();
       find_leaf_uncached t addr
   | Some { wkeys; wentries } ->
       if t.walk_cache_gen <> t.writes then begin
@@ -295,13 +290,13 @@ let find_leaf t addr =
       let s = key land (walk_cache_slots - 1) in
       if wkeys.(s) = key then begin
         t.walk_hits <- t.walk_hits + 1;
-        if !cov_on then !cov_tap 0;
+        if !Covirt_obs.Probe.on then Covirt_obs.Probe.fire walk 0 ();
         if !Covirt_obs.Metrics.on then
           Covirt_obs.Metrics.add (Lazy.force m_walk_hit) 1
       end
       else begin
         t.walk_misses <- t.walk_misses + 1;
-        if !cov_on then !cov_tap 1;
+        if !Covirt_obs.Probe.on then Covirt_obs.Probe.fire walk 1 ();
         if !Covirt_obs.Metrics.on then
           Covirt_obs.Metrics.add (Lazy.force m_walk_miss) 1;
         wentries.(s) <- fill_walk_entry t addr;
@@ -313,10 +308,10 @@ let find_leaf t addr =
           let i = slice addr 1 in
           match slots.(i) with
           | Some r ->
-              if !cov_on then !cov_tap 3;
+              if !Covirt_obs.Probe.on then Covirt_obs.Probe.fire walk 3 ();
               r
           | None ->
-              if !cov_on then !cov_tap 4;
+              if !Covirt_obs.Probe.on then Covirt_obs.Probe.fire walk 4 ();
               let r = pt_lookup node addr in
               (* lint: allow warm-alloc — pt-slot cold fill: the boxed
                  answer is stored and handed back unwrapped on later
@@ -326,8 +321,10 @@ let find_leaf t addr =
               r))
 
 let note_violation reason =
-  if !cov_on then
-    !cov_tap (match reason with `Not_mapped -> 5 | `Perm_denied -> 6);
+  if !Covirt_obs.Probe.on then
+    Covirt_obs.Probe.fire walk
+      (match reason with `Not_mapped -> 5 | `Perm_denied -> 6)
+      ();
   if !Covirt_obs.Metrics.on then
     let dim =
       match reason with `Not_mapped -> "not-mapped" | `Perm_denied -> "perm"

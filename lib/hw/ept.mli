@@ -77,18 +77,10 @@ val walk_cache_stats : t -> int * int
 (** [(hits, misses)] of the walk cache — observability for tests and
     benchmarks; [(0, 0)] forever when the cache is disabled. *)
 
-val cov_on : bool ref
-(** Arms {!cov_tap}.  Do not flip directly — the [covirt.replay]
-    coverage collector owns it, reference-counted across domains.  One
-    branch per walk/violation when off. *)
-
-val cov_tap : (int -> unit) ref
-(** Called while [cov_on] with the walk-branch class taken: 0
-    walk-cache hit, 1 walk-cache fill, 2 uncached walk, 3 PT-slot hit,
-    4 PT-slot fill, 5 violation/not-mapped, 6 violation/perm-denied.
-    The tap must not allocate, charge cycles or draw randomness —
-    arming leaves the zero-GC warm path and any recorded transcript
-    byte-identical. *)
+val walk : (int, unit) Covirt_obs.Probe.point
+(** Fired with the walk-branch class taken: 0 walk-cache hit, 1
+    walk-cache fill, 2 uncached walk, 3 PT-slot hit, 4 PT-slot fill, 5
+    violation/not-mapped, 6 violation/perm-denied. *)
 
 val map_region : t -> ?perms:perms -> Region.t -> unit
 (** Identity-map a page-aligned region (base and length must be

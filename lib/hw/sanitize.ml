@@ -199,20 +199,11 @@ let drop_enclave ~id =
 
 (* --- violation recording -------------------------------------------- *)
 
-(* Coverage tap (the replay fuzzer's guidance): violation-kind codes —
-   0 cross-owner, 1 freed-access, 2 corrupt-mapping.  One [!cov_on]
-   branch when disarmed; the tap never charges cycles or draws
-   randomness, so arming keeps runs byte-identical. *)
-let cov_on = ref false
-let cov_tap : (int -> unit) ref = ref (fun _ -> ())
+(* Probe point: the kind of every reported violation. *)
+let violated : (kind, unit) Covirt_obs.Probe.point = Covirt_obs.Probe.point ()
 
 let report st v =
-  if !cov_on then
-    !cov_tap
-      (match v.kind with
-      | Cross_owner _ -> 0
-      | Freed_access -> 1
-      | Corrupt_mapping _ -> 2);
+  if !Covirt_obs.Probe.on then Covirt_obs.Probe.fire violated v.kind ();
   let d = dls () in
   d.total <- d.total + 1;
   if st.kept < max_kept then begin

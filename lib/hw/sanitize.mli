@@ -57,16 +57,8 @@ val on : bool ref
 (** The single branch hot paths test.  Do not set directly — use
     {!enable} / {!disable} (or {!request} plus a controller attach). *)
 
-val cov_on : bool ref
-(** Arms {!cov_tap}.  Do not flip directly — the [covirt.replay]
-    coverage collector owns it, reference-counted across domains.  One
-    branch per reported violation when off. *)
-
-val cov_tap : (int -> unit) ref
-(** Called while [cov_on] with the violation-kind code of every
-    reported violation: 0 cross-owner, 1 freed-access, 2
-    corrupt-mapping.  Must never charge simulated cycles or draw
-    randomness — arming keeps runs byte-identical. *)
+val violated : (kind, unit) Covirt_obs.Probe.point
+(** Fired with the kind of every reported violation. *)
 
 val request : unit -> unit
 (** Sticky opt-in: the next controller attach arms the shadow state

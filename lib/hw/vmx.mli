@@ -12,30 +12,14 @@ exception
     installed).  The co-kernel framework catches this to reclaim the
     enclave — the fault is contained to the raising core's enclave. *)
 
-val tap_on : bool ref
-(** Arms {!exit_tap}.  Do not flip directly — the [covirt.replay]
-    recorder owns it, reference-counted across domains.  Each
-    {!deliver_exit} site pays exactly one branch when the tap is
-    off. *)
+val exit_entry : (Cpu.t, Vmcs.t) Covirt_obs.Probe.point
+(** Fired for every delivered exit with the VMCS's exit record filled,
+    before the handler runs, so exits whose handler kills the enclave
+    are observed too. *)
 
-val exit_tap : (Cpu.t -> Vmcs.t -> unit) ref
-(** Called for every delivered exit while [tap_on], with the VMCS's
-    exit record filled — before the handler runs, so exits whose
-    handler kills the enclave are observed too.  The tap must never
-    charge simulated cycles or draw from any RNG: recording armed is
-    byte-identical to recording off. *)
-
-val cov_on : bool ref
-(** Arms {!cov_exit_tap}.  Do not flip directly — the
-    [covirt.replay] coverage collector owns it, reference-counted
-    across domains.  One branch per delivered exit when off. *)
-
-val cov_exit_tap : (int -> int -> unit) ref
-(** Called while [cov_on] with ({!Vmcs.code} of the reason,
-    handler-outcome code: 0 resume, 1 skip, 2 kill) for every
-    delivered exit — the (arm x outcome) coverage edge.  Must never
-    charge simulated cycles or draw randomness: collection armed is
-    byte-identical to collection off. *)
+val exit_edge : (int, Vmcs.action) Covirt_obs.Probe.point
+(** Fired for every delivered exit with ({!Vmcs.code} of the reason,
+    the handler's action), before the action is applied. *)
 
 val vmlaunch : model:Cost_model.t -> Cpu.t -> Vmcs.t -> unit
 (** Load the VMCS onto the core and enter the guest: flips the core to

@@ -213,11 +213,6 @@ let rec pure_guard (e : expression) =
 
 (* --- emission-site recognition --- *)
 
-type emission =
-  | Obs of string  (* Metrics.add / Span.instant / Exporter.emit ... *)
-  | Sanitize of string
-  | Tap of string  (* application of a dereffed [*tap*] function ref *)
-
 let obs_metrics = [ "add"; "set"; "observe" ]
 let obs_span = [ "instant"; "complete" ]
 
@@ -228,6 +223,11 @@ let sanitize_emissions =
 let tail2 path =
   match List.rev path with b :: a :: _ -> Some (a, b) | _ -> None
 
+let contains_tap name =
+  let n = String.length name in
+  let rec go i = i + 3 <= n && (String.sub name i 3 = "tap" || go (i + 1)) in
+  go 0
+
 let emission_of (e : expression) =
   match e.pexp_desc with
   | Pexp_apply (fn, _) -> (
@@ -235,28 +235,16 @@ let emission_of (e : expression) =
       | Pexp_ident l -> (
           match tail2 (flatten l.txt) with
           | Some ("Metrics", f) when List.mem f obs_metrics ->
-              Some (Obs ("Metrics." ^ f))
-          | Some ("Span", f) when List.mem f obs_span ->
-              Some (Obs ("Span." ^ f))
-          | Some ("Exporter", "emit") -> Some (Obs "Exporter.emit")
-          | Some ("Vmexit", "record") -> Some (Obs "Vmexit.record")
+              Some ("Metrics." ^ f)
+          | Some ("Span", f) when List.mem f obs_span -> Some ("Span." ^ f)
+          | Some ("Exporter", "emit") -> Some "Exporter.emit"
+          | Some ("Vmexit", "record") -> Some "Vmexit.record"
           | Some ("Sanitize", f) when List.mem f sanitize_emissions ->
-              Some (Sanitize ("Sanitize." ^ f))
+              Some ("Sanitize." ^ f)
+          | Some ("Probe", "fire") -> Some "Probe.fire"
           | _ -> None)
       | _ -> (
-          match deref_target fn with
-          | Some path -> (
-              match last path with
-              | Some name
-                when String.length name >= 3
-                     && (let has_sub = ref false in
-                         for i = 0 to String.length name - 3 do
-                           if String.sub name i 3 = "tap" then has_sub := true
-                         done;
-                         !has_sub) ->
-                  Some (Tap name)
-              | _ -> None)
-          | None -> None))
+          match Option.bind (deref_target fn) last with
+          | Some name when contains_tap name -> Some ("!" ^ name)
+          | _ -> None))
   | _ -> None
-
-let emission_name = function Obs s | Sanitize s -> s | Tap s -> "!" ^ s

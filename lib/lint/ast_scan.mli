@@ -40,12 +40,8 @@ val mentions_on_flag : Parsetree.expression -> bool
     applications (the partial-application surface) fail. *)
 val pure_guard : Parsetree.expression -> bool
 
-type emission =
-  | Obs of string  (** [Metrics.add], [Span.instant], [Exporter.emit] … *)
-  | Sanitize of string  (** [Sanitize.access], [Sanitize.tlb_install] … *)
-  | Tap of string  (** application of a dereffed [*tap*] function ref *)
-
-(** Recognize an application expression as an emission site. *)
-val emission_of : Parsetree.expression -> emission option
-
-val emission_name : emission -> string
+(** Recognize an application expression as a tap site and name it:
+    [Metrics.add], [Span.instant], [Exporter.emit], [Vmexit.record],
+    a [Sanitize] emission, [Probe.fire], or [!name] for the
+    application of a dereffed [*tap*] function ref. *)
+val emission_of : Parsetree.expression -> string option

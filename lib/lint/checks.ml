@@ -30,9 +30,6 @@ let catalogue =
     ( "no-print",
       "the hot layers (lib/hw, lib/core) never print to stdout/stderr \
        directly" );
-    ( "guarded-obs",
-      "observability emissions in the hot layers are dominated by an \
-       enable-flag guard" );
     ( "fleet-monopoly",
       "Domain.spawn only under lib/fleet; lib/fleet never references \
        Covirt_hw" );
@@ -44,8 +41,8 @@ let catalogue =
        list/array literals, boxing constructors, Printf/Format, combinator \
        calls)" );
     ( "tap-zero-cost",
-      "every Obs/Sanitize/Recorder/Coverage tap site sits under a pure \
-       !flag guard that itself allocates nothing" );
+      "every Obs/Sanitize/Probe tap site sits under a pure !flag guard \
+       that itself allocates nothing" );
     ( "layer-deps",
       "inter-layer module references match the declared layer rule table" );
     ( "determinism",
@@ -78,49 +75,22 @@ let check_no_print (src : Source.t) =
         else None)
       (Ast_scan.refs src)
 
-(* --- checks: guarded-obs and tap-zero-cost ------------------------ *)
+(* --- check: tap-zero-cost ------------------------------------------ *)
 
-(* Both walk the same emission sites with the guard-tracking iterator.
-   [guarded-obs] (the ported check 3) demands that an observability
-   emission be dominated by *some* enable-flag guard; [tap-zero-cost]
-   (the hardened contract) additionally covers Sanitize and the
-   coverage/recorder tap refs, and demands the dominating guard be a
-   pure flag test — no closures, strings, tuples or general calls (the
-   allocation surface) in the condition. *)
+(* Walks the tap sites with the guard-tracking iterator and demands a
+   dominating guard that is a pure flag test — no closures, strings,
+   tuples or general calls (the allocation surface) in the condition. *)
 
 let emissions_of_structure str =
   let acc = ref [] in
   Ast_scan.iter_guarded str ~on_expr:(fun ctx e ->
       match Ast_scan.emission_of e with
-      | Some em -> acc := (ctx, em, e) :: !acc
+      | Some name -> acc := (ctx, name, e) :: !acc
       | None -> ());
   List.rev !acc
 
 let structure_of src =
   match src.Source.ast with Source.Impl s -> Some s | _ -> None
-
-let check_guarded_obs (src : Source.t) =
-  if not (in_any hot_layers src.path && src.kind = Source.Ml) then []
-  else
-    match structure_of src with
-    | None -> []
-    | Some str ->
-        List.filter_map
-          (fun (ctx, em, e) ->
-            match em with
-            | Ast_scan.Obs name ->
-                if List.exists Ast_scan.mentions_on_flag ctx.Ast_scan.guards
-                then None
-                else
-                  Some
-                    (finding ~check:"guarded-obs" ~src
-                       ~line:(Ast_scan.line_of e) ~col:(Ast_scan.col_of e)
-                       (Printf.sprintf
-                          "%s emission not dominated by an enable-flag \
-                           guard (!Metrics.on / !Exporter.on)"
-                          name))
-            | _ -> None)
-          (emissions_of_structure str)
 
 let check_tap_zero_cost (src : Source.t) =
   if not (in_any tap_layers src.path && src.kind = Source.Ml) then []
@@ -129,8 +99,7 @@ let check_tap_zero_cost (src : Source.t) =
     | None -> []
     | Some str ->
         List.filter_map
-          (fun (ctx, em, e) ->
-            let name = Ast_scan.emission_name em in
+          (fun (ctx, name, e) ->
             let line = Ast_scan.line_of e and col = Ast_scan.col_of e in
             match
               List.find_opt Ast_scan.mentions_on_flag ctx.Ast_scan.guards
@@ -553,7 +522,6 @@ let check_unused_export (sources : Source.t list) =
 
 let file_checks ?graph (src : Source.t) =
   check_no_print src
-  @ check_guarded_obs src
   @ check_tap_zero_cost src
   @ check_fleet_monopoly src
   @ check_replay_confinement src

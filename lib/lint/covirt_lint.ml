@@ -6,7 +6,7 @@
    real syntax tree (compiler-libs [Parse.implementation] — purely
    syntactic, no typing, no ppx):
 
-   - zero-cost taps: every Obs/Sanitize/Recorder/Coverage emission
+   - zero-cost taps: every Obs/Sanitize emission and [Probe.fire]
      site in the hot layers sits under a pure [!flag] guard;
    - warm-region allocation: code between [(* warm-begin *)] and
      [(* warm-end *)] markers builds no closures, tuples, list/array
@@ -17,7 +17,7 @@
      no order-dependent Hashtbl iteration in the merge layers.
 
    plus the ported source conventions (interface presence, no direct
-   printing, guarded observability, the fleet's Domain monopoly, the
+   printing, the fleet's Domain monopoly, the
    replay codec's confinement).  See docs/LINTING.md. *)
 
 module Finding = Finding

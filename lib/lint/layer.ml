@@ -4,8 +4,9 @@
    table mirrors the dune dependency stanzas (the build's ground
    truth) but is *stricter* where the architecture demands it — lib/hw
    may touch only the observability tap surface (Metrics/Span/
-   Exporter), never the exporter/profiler internals, and lib/fleet and
-   lib/replay edges are owned by their dedicated checks. *)
+   Exporter/Vmexit and the Probe bus), never the exporter/profiler
+   internals; lib/replay may touch only the Probe bus; and lib/fleet
+   and lib/replay edges are owned by their dedicated checks. *)
 
 type layer = {
   dir : string;  (* directory name under lib/ *)
@@ -29,7 +30,8 @@ let table =
       dir = "hw";
       root_module = "Covirt_hw";
       allowed = [ "sim"; "obs" ];
-      constrained = [ ("obs", [ "Metrics"; "Span"; "Exporter"; "Vmexit" ]) ];
+      constrained =
+        [ ("obs", [ "Metrics"; "Span"; "Exporter"; "Vmexit"; "Probe" ]) ];
     };
     {
       dir = "core";
@@ -136,8 +138,8 @@ let table =
       root_module = "Covirt_replay";
       allowed =
         [ "sim"; "hw"; "kitten"; "pisces"; "hobbes"; "xemem"; "core";
-          "analysis"; "resilience"; "fleet" ];
-      constrained = [];
+          "analysis"; "resilience"; "fleet"; "obs" ];
+      constrained = [ ("obs", [ "Probe" ]) ];
     };
     { dir = "lint"; root_module = "Covirt_lint"; allowed = []; constrained = [] };
   ]

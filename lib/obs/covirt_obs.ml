@@ -2,6 +2,7 @@ module Metrics = Metrics
 module Profiler = Profiler
 module Span = Span
 module Exporter = Exporter
+module Probe = Probe
 
 let enable () = Metrics.enable ()
 

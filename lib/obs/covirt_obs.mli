@@ -16,12 +16,17 @@
 
     Wiring: callers switch recording on with {!enable} (metrics and
     profiler) and {!Exporter.enable} (span export); [covirt-ctl stats] /
-    [--trace-out] do so and expose the results on the CLI. *)
+    [--trace-out] do so and expose the results on the CLI.
+
+    {!Probe} is the typed-point bus the replay recorder and coverage
+    collector subscribe to; it keeps the first two points of the
+    contract, but its subscribers arm it per domain. *)
 
 module Metrics = Metrics
 module Profiler = Profiler
 module Span = Span
 module Exporter = Exporter
+module Probe = Probe
 
 val enable : unit -> unit
 (** Turn on metrics + profiler recording (not span export). *)

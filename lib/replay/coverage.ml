@@ -6,12 +6,9 @@
    mutant whose map contains an edge the corpus has never seen is
    promoted.
 
-   Collection obeys the recorder's zero-cost contract: the hw tap
-   sites are a single [!cov_on] branch when disarmed, and the tap
-   bodies are a Domain-local bit store — no simulated cycles, no
-   randomness, no allocation — so a run with coverage armed is
-   byte-identical to one without (asserted in test_coverage.ml against
-   the golden translation transcript).
+   Collection subscribes to the hw and fault-injector probe points;
+   each subscriber is a Domain-local bit store, so it keeps the
+   [Covirt_obs.Probe] contract with no allocation either.
 
    A captured map is an immutable [string], so structural equality on
    fuzz results keeps working and maps can be unioned/compared without
@@ -162,43 +159,46 @@ let mark d i =
   Bytes.unsafe_set d.map (i lsr 3)
     (Char.unsafe_chr (byte lor (1 lsl (i land 7))))
 
-(* How many domains currently want the taps live — the recorder's
-   refcount pattern.  A tap firing in a domain whose [collecting] is
-   false is ignored. *)
-let armed = Atomic.make 0
+let fault_code = function
+  | Fault_injector.Wild_write _ -> 0
+  | Fault_injector.Phantom_touch _ -> 1
+  | Fault_injector.Errant_ipi _ -> 2
+  | Fault_injector.Msr_write -> 3
+  | Fault_injector.Port_reset -> 4
+  | Fault_injector.Double_fault -> 5
+  | Fault_injector.Wedge _ -> 6
+
+let san_code = function
+  | Sanitize.Cross_owner _ -> 0
+  | Sanitize.Freed_access -> 1
+  | Sanitize.Corrupt_mapping _ -> 2
+
+let action_code = function Vmcs.Resume -> 0 | Vmcs.Skip -> 1 | Vmcs.Kill _ -> 2
 
 let () =
-  Vmx.cov_exit_tap :=
-    (fun arm outcome ->
+  let module P = Covirt_obs.Probe in
+  P.subscribe Vmx.exit_edge (fun code action ->
       let d = dls () in
-      if d.collecting then mark d (exit_base + (arm * outcome_arms) + outcome));
-  Ept.cov_tap :=
-    (fun cls ->
+      if d.collecting then
+        mark d (exit_base + (code * outcome_arms) + action_code action));
+  P.subscribe Ept.walk (fun cls () ->
       let d = dls () in
       if d.collecting then mark d (ept_base + cls));
-  Sanitize.cov_tap :=
-    (fun kind ->
+  P.subscribe Sanitize.violated (fun kind () ->
       let d = dls () in
-      if d.collecting then mark d (san_base + kind));
-  Fault_injector.cov_tap :=
-    (fun cls ->
+      if d.collecting then mark d (san_base + san_code kind));
+  P.subscribe Fault_injector.applied (fun fault () ->
       let d = dls () in
-      if d.collecting then mark d (fault_base + cls))
+      if d.collecting then mark d (fault_base + fault_code fault))
 
 let collecting () = (dls ()).collecting
-
-let set_flags v =
-  Vmx.cov_on := v;
-  Ept.cov_on := v;
-  Sanitize.cov_on := v;
-  Fault_injector.cov_on := v
 
 let arm () =
   let d = dls () in
   if not d.collecting then begin
     d.collecting <- true;
     Bytes.fill d.map 0 bytes_len '\000';
-    if Atomic.fetch_and_add armed 1 = 0 then set_flags true
+    Covirt_obs.Probe.arm ()
   end
 
 let disarm () =
@@ -206,7 +206,7 @@ let disarm () =
   if d.collecting then begin
     d.collecting <- false;
     Bytes.fill d.map 0 bytes_len '\000';
-    if Atomic.fetch_and_add armed (-1) = 1 then set_flags false
+    Covirt_obs.Probe.disarm ()
   end
 
 let capture () =
@@ -218,7 +218,7 @@ let capture () =
 (* --- scenario-layer hits --------------------------------------------- *)
 
 (* These are called from [Scenario]/[Replayer] (which sit above this
-   module), not from hw taps, so they gate on the domain's own
+   module), not through the probe bus, so they gate on the domain's own
    [collecting] flag directly. *)
 
 let hit d i = if d.collecting then mark d i

@@ -14,16 +14,12 @@
       crash oracle, XEMEM attach/detach success/failure, enclave
       spawns and the soak-scenario marker.
 
-    Collection reuses the recorder's zero-cost tap contract: each hw
-    site pays one branch when disarmed, the tap bodies are a
-    Domain-local bit store (no simulated cycles, no randomness, no
-    allocation), and arming leaves every transcript byte-identical —
+    Collection subscribes to the {!Covirt_obs.Probe} points and keeps
+    their contract; arming leaves every transcript byte-identical —
     pinned by test_coverage.ml against the golden translation capture.
 
     Maps are immutable; the collection state is Domain-local so every
-    fleet shard gathers its own trial's coverage independently
-    (arming is reference-counted across domains, the recorder
-    pattern). *)
+    fleet shard gathers its own trial's coverage independently. *)
 
 type t
 (** An immutable coverage snapshot.  Structural ([=]) and {!equal}
@@ -72,20 +68,17 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Collection}
 
-    Domain-local, reference-counted across domains like
-    {!Recorder.arm}. *)
+    Domain-local, like {!Recorder.arm}. *)
 
 val collecting : unit -> bool
 (** Whether this domain is collecting. *)
 
 val arm : unit -> unit
-(** Start collecting in this domain with a cleared map; flips the hw
-    [cov_on] switches when this is the first domain to arm.  No-op if
-    already collecting. *)
+(** Start collecting in this domain with a cleared map and arm the
+    probe bus.  No-op if already collecting. *)
 
 val disarm : unit -> unit
-(** Stop collecting and clear the map; drops the hw switches when this
-    was the last armed domain. *)
+(** Stop collecting, clear the map and disarm the probe bus. *)
 
 val capture : unit -> t
 (** Snapshot this domain's map and clear it (collection continues) —
@@ -93,7 +86,7 @@ val capture : unit -> t
 
 (** {1 Scenario-layer hits}
 
-    Edges the hw taps cannot see — trial verdicts and the synthetic
+    Edges the probe points cannot see — trial verdicts and the synthetic
     input surface — reported by {!Scenario}/{!Replayer}.  Each is a
     no-op unless this domain is collecting. *)
 

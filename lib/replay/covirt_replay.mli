@@ -11,10 +11,10 @@
       bytes (covirt-lint enforces the confinement);
     - {!Coverage} — the per-run coverage bitset (exit-arm x outcome,
       EPT walk classes, fault/violation classes, oracle verdicts),
-      collected through zero-cost taps (golden transcripts stay
-      byte-identical armed);
-    - {!Recorder} — Domain-local taps on VM-exit dispatch and fault
-      injection, zero-cost when disarmed;
+      collected from the {!Covirt_obs.Probe} bus (golden transcripts
+      stay byte-identical armed);
+    - {!Recorder} — Domain-local recording of VM-exit dispatch and
+      fault injection from the same bus;
     - {!Scenario} — record/replay execution of trial batches with the
       oracle battery (crash, shadow sanitizer, static verifier);
     - {!Replayer} — replay + re-capture + byte comparison, including

@@ -1,21 +1,12 @@
-(* The recorder: taps the two nondeterministic boundaries — VM-exit
-   dispatch ([Vmx.exit_tap]) and fault application
-   ([Fault_injector.inject_tap]) — into a per-domain ring of trace
-   events.
-
-   Contract (the obs/sanitize pattern): the tap sites are a single
-   [!tap_on] branch when disarmed, the tap bodies never charge
-   simulated cycles or draw randomness, and arming changes nothing a
-   run can observe — the golden translation capture stays
-   byte-identical with the recorder armed (asserted in
-   test_replay.ml).
+(* The recorder: subscribes to the two nondeterministic boundaries —
+   VM-exit dispatch ([Vmx.exit_entry]) and fault application
+   ([Fault_injector.applied]) — and keeps what they carry in a
+   per-domain ring of trace events.
 
    The ring is Domain-local: every fleet shard records its own trial
-   without touching its neighbours'.  The tap closures are installed
-   once and gate on the domain's [recording] flag, so the global
-   [tap_on] booleans only decide whether the (cheap) closure call
-   happens at all; a domain that never armed simply ignores the
-   callback. *)
+   without touching its neighbours'.  The subscribers gate on the
+   domain's [recording] flag, so a point firing in a domain that never
+   armed is ignored. *)
 
 open Covirt_hw
 module Fault_injector = Covirt_resilience.Fault_injector
@@ -130,15 +121,9 @@ let push ev =
     d.dropped <- d.dropped + 1
   end
 
-(* --- taps ------------------------------------------------------------ *)
+(* --- subscribers ----------------------------------------------------- *)
 
-(* How many domains currently want the taps live.  The bool flips are
-   idempotent stores; a tap firing in a domain whose [recording] is
-   false is ignored, so a momentary overlap between one domain arming
-   and another disarming is harmless. *)
-let armed = Atomic.make 0
-
-let exit_tap cpu (vmcs : Vmcs.t) =
+let on_exit cpu (vmcs : Vmcs.t) =
   let d = dls () in
   if d.recording then
     push
@@ -151,14 +136,14 @@ let exit_tap cpu (vmcs : Vmcs.t) =
            reason = of_exit vmcs.Vmcs.exit;
          })
 
-let fault_tap fault =
+let on_fault fault () =
   let d = dls () in
   if d.recording then
     push (Trace.Fault { slot = d.slot; fault = of_fault fault })
 
 let () =
-  Vmx.exit_tap := exit_tap;
-  Fault_injector.inject_tap := fault_tap
+  Covirt_obs.Probe.subscribe Vmx.exit_entry on_exit;
+  Covirt_obs.Probe.subscribe Fault_injector.applied on_fault
 
 let recording () = (dls ()).recording
 
@@ -171,10 +156,7 @@ let arm ?(capacity = default_capacity) () =
     d.start <- 0;
     d.count <- 0;
     d.dropped <- 0;
-    if Atomic.fetch_and_add armed 1 = 0 then begin
-      Vmx.tap_on := true;
-      Fault_injector.tap_on := true
-    end
+    Covirt_obs.Probe.arm ()
   end
 
 let disarm () =
@@ -184,10 +166,7 @@ let disarm () =
     d.ring <- [||];
     d.count <- 0;
     d.start <- 0;
-    if Atomic.fetch_and_add armed (-1) = 1 then begin
-      Vmx.tap_on := false;
-      Fault_injector.tap_on := false
-    end
+    Covirt_obs.Probe.disarm ()
   end
 
 let set_slot n = (dls ()).slot <- n

@@ -1,16 +1,13 @@
 (** The trace recorder.
 
-    Taps the two nondeterministic boundaries of a simulated run — VM
-    exit dispatch ({!Covirt_hw.Vmx.exit_tap}) and fault application
-    ({!Covirt_resilience.Fault_injector.inject_tap}) — into a
-    Domain-local ring of {!Trace.event}s.  Per-domain state means every
-    fleet shard records its own trial independently.
-
-    The zero-cost contract (same as lib/obs and the sanitizer): each
-    tap site is a single boolean branch when disarmed, and the tap
-    bodies never charge simulated cycles or consume randomness — so a
-    run with the recorder armed is byte-identical to the same run with
-    it off (the golden gate in test_replay.ml). *)
+    Subscribes to the two nondeterministic boundaries of a simulated
+    run — VM exit dispatch ({!Covirt_hw.Vmx.exit_entry}) and fault
+    application ({!Covirt_resilience.Fault_injector.applied}) — and
+    keeps them in a Domain-local ring of {!Trace.event}s.  Per-domain
+    state means every fleet shard records its own trial independently.
+    Arming obeys the {!Covirt_obs.Probe} contract: a run with the
+    recorder armed is byte-identical to the same run with it off (the
+    golden gate in test_replay.ml). *)
 
 open Covirt_hw
 module Fault_injector = Covirt_resilience.Fault_injector
@@ -25,8 +22,8 @@ module Fault_injector = Covirt_resilience.Fault_injector
 
 val load_exit : Vmcs.t -> Trace.exit_payload -> unit
 (** Fill the VMCS's exit record from a trace payload, ready for
-    {!Covirt_hw.Vmx.deliver_exit}: the inverse of what the exit tap
-    records. *)
+    {!Covirt_hw.Vmx.deliver_exit}: the inverse of what the recorder
+    keeps of an exit. *)
 
 val to_fault : Trace.fault_payload -> Fault_injector.fault
 
@@ -34,12 +31,11 @@ val to_fault : Trace.fault_payload -> Fault_injector.fault
 
 val arm : ?capacity:int -> unit -> unit
 (** Start recording in the calling domain: reset the ring and slot to
-    empty/0 and (for the first armed domain) flip the global taps on.
-    Idempotent while already armed. *)
+    empty/0 and arm the probe bus.  Idempotent while already armed. *)
 
 val disarm : unit -> unit
-(** Stop recording in the calling domain and release the ring; the
-    last domain to disarm flips the global taps off. *)
+(** Stop recording in the calling domain, release the ring and
+    disarm the probe bus. *)
 
 val recording : unit -> bool
 (** Whether the calling domain is recording. *)

@@ -12,15 +12,15 @@
      fault per trial; replay injects the {e recorded} fault instead of
      drawing, and nothing else reads that stream, so skipping the draw
      perturbs nothing;
-   - the taps re-record every input as it is applied (the inject tap
-     fires for replayed faults exactly as it did for drawn ones, and
+   - the recorder re-records every input as it is applied (the fault
+     point fires for replayed faults exactly as it did for drawn ones, and
      the replayer notes synthetic inputs before applying them), so a
      replay's capture carries the same input events in the same
      positions, and machine determinism regenerates the same exits.
 
-   The oracles never perturb the run: the recorder and sanitizer obey
-   the zero-cost contract, and the static verifier is an offline
-   radix walk that charges no simulated cycles. *)
+   The oracles never perturb the run: the recorder keeps the probe
+   bus's contract, the sanitizer its own, and the static verifier is
+   an offline radix walk that charges no simulated cycles. *)
 
 open Covirt_hw
 open Covirt_pisces
@@ -262,7 +262,7 @@ let one_trial ~config ~slot ~trial_seed ~mode =
            (fun ev ->
              match ev with
              | Trace.Fault { fault; _ } ->
-                 (* The inject tap re-records this event. *)
+                 (* The fault point re-records this event. *)
                  guarded (fun () ->
                      Fault_injector.inject injector ctx
                        (Recorder.to_fault fault))
@@ -325,7 +325,7 @@ let one_trial ~config ~slot ~trial_seed ~mode =
     else if !collateral then Collateral
     else Survived
   in
-  (* Verdict edges the hw taps cannot see — no-ops unless this
+  (* Verdict edges the probe points cannot see — no-ops unless this
      domain's coverage collection is armed. *)
   Coverage.hit_outcome
     (match outcome with

@@ -105,31 +105,12 @@ let due t ~target ~trial ~now =
      carries every fault the schedule will ever produce). *)
   if faults = [] && schedule_exhausted t then End_of_schedule else Due faults
 
-(* Record tap for the replay recorder — same zero-cost contract as
-   [Covirt_hw.Vmx.exit_tap]: one branch when disarmed, and the tap
-   never charges cycles or draws randomness. *)
-let tap_on = ref false
-let inject_tap : (fault -> unit) ref = ref (fun _ -> ())
-
-(* Coverage tap (the replay fuzzer's guidance): dense fault-class
-   codes in declaration order.  Same zero-cost contract as
-   [inject_tap]. *)
-let cov_on = ref false
-let cov_tap : (int -> unit) ref = ref (fun _ -> ())
-
-let fault_code = function
-  | Wild_write _ -> 0
-  | Phantom_touch _ -> 1
-  | Errant_ipi _ -> 2
-  | Msr_write -> 3
-  | Port_reset -> 4
-  | Double_fault -> 5
-  | Wedge _ -> 6
+(* Probe point: every fault as it is applied. *)
+let applied : (fault, unit) Covirt_obs.Probe.point = Covirt_obs.Probe.point ()
 
 let inject t (ctx : Kitten.context) fault =
   t.applied <- t.applied + 1;
-  if !tap_on then !inject_tap fault;
-  if !cov_on then !cov_tap (fault_code fault);
+  if !Covirt_obs.Probe.on then Covirt_obs.Probe.fire applied fault ();
   match fault with
   | Wild_write addr -> Kitten.store_addr ctx addr
   | Phantom_touch addr ->

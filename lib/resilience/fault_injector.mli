@@ -82,25 +82,10 @@ val schedule_to_json : t -> string
     one JSON object, so a replay trace or quarantine capture fully
     determines the injected faults. *)
 
-val tap_on : bool ref
-(** Arms {!inject_tap}.  Owned by the replay recorder; one branch per
-    {!inject} when off. *)
-
-val inject_tap : (fault -> unit) ref
-(** Called with every fault as it is applied while [tap_on] — before
-    the fault's own exception can escape, so faults that kill their
-    enclave are recorded too.  Must not charge cycles or draw
-    randomness. *)
-
-val cov_on : bool ref
-(** Arms {!cov_tap}.  Do not flip directly — the [covirt.replay]
-    coverage collector owns it, reference-counted across domains.  One
-    branch per {!inject} when off. *)
-
-val cov_tap : (int -> unit) ref
-(** Called while [cov_on] with the dense fault-class index ([0 .. 6],
-    declaration order) of every applied fault.
-    Same zero-cost contract as {!inject_tap}. *)
+val applied : (fault, unit) Covirt_obs.Probe.point
+(** Fired with every fault as it is applied — before the fault's own
+    exception can escape, so faults that kill their enclave are
+    observed too. *)
 
 val inject : t -> Kitten.context -> fault -> unit
 (** Apply the fault on the given execution context and count it.  May

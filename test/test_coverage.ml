@@ -96,6 +96,113 @@ let test_coverage_armed_is_zero_cost () =
     "golden capture byte-identical with coverage armed" true
     (String.equal expected actual)
 
+(* --- more than one subscriber on the probe bus ------------------------ *)
+
+let soak_scenario =
+  Trace.Soak_shard { seed = 5; lo = 0; hi = 12; sanitize = true }
+
+(* Re-run one soak shard with the chosen subscribers armed; return the
+   recorder's trace bytes and the coverage map (empty for whichever is
+   not armed). *)
+let observe_soak ~record ~collect =
+  with_sanitizer_restored @@ fun () ->
+  if record then Recorder.arm ();
+  if collect then Coverage.arm ();
+  Fun.protect
+    ~finally:(fun () ->
+      Recorder.disarm ();
+      Coverage.disarm ())
+    (fun () ->
+      ignore
+        (Covirt_resilience.Soak.replay_shard ~on_trial:Recorder.set_slot
+           ~shard_seed:5 ~lo:0 ~hi:12 ~sanitize:true ()
+          : Covirt_resilience.Soak.result);
+      let events, dropped = Recorder.capture () in
+      ( Trace.encode (Trace.make ~dropped ~scenario:soak_scenario events),
+        Coverage.capture () ))
+
+let test_subscribers_independent () =
+  let trace, _ = observe_soak ~record:true ~collect:false in
+  let _, map = observe_soak ~record:false ~collect:true in
+  let both_trace, both_map = observe_soak ~record:true ~collect:true in
+  let empty, _ = observe_soak ~record:false ~collect:false in
+  Alcotest.(check bool) "the shard records events" false
+    (String.equal trace empty);
+  Alcotest.(check bool) "the shard covers edges" true (Coverage.count map > 0);
+  Alcotest.(check string) "both armed: trace bytes = recorder alone" trace
+    both_trace;
+  Alcotest.(check bool) "both armed: map = coverage alone" true
+    (Coverage.equal map both_map)
+
+(* Two domains arm and disarm both subscribers in a loop.  With the
+   count and the guard updated as two steps, one domain's late
+   [false] store could land after the other's arm, leaving an armed
+   domain silently unobserved; one lock for both makes that
+   impossible. *)
+let test_arm_disarm_race () =
+  with_sanitizer_restored @@ fun () ->
+  let module P = Covirt_obs.Probe in
+  let record () =
+    Trace.digest
+      (Scenario.record ~config:"full" ~seed:7 ~trials:2 ()).Scenario.trace
+  in
+  let reference = record () in
+  (* Arm/disarm until [stop]; count the arms that found the bus off. *)
+  let churn stop =
+    let lost = ref 0 and n = ref 0 in
+    while not (stop !n) do
+      Recorder.arm ~capacity:16 ();
+      if not !P.on then incr lost;
+      Coverage.arm ();
+      Recorder.disarm ();
+      if not !P.on then incr lost;
+      Coverage.disarm ();
+      incr n
+    done;
+    !lost
+  in
+  let loop () = churn (fun n -> n >= 20_000) in
+  let a =
+    Domain.spawn (fun () ->
+        let lost = loop () in
+        Recorder.arm ~capacity:16 ();
+        lost)
+  in
+  let b = Domain.spawn loop in
+  let lost = Domain.join a + Domain.join b in
+  Alcotest.(check int) "no arm found the bus off" 0 lost;
+  Alcotest.(check int) "the domain that exited armed still counts" 1
+    (P.armed ());
+  Alcotest.(check bool) "guard = (count > 0)" true !P.on;
+  (* Release the count the exited domain left behind. *)
+  P.disarm ();
+  Alcotest.(check bool) "bus off once nothing is armed" false !P.on;
+  let started = Atomic.make false and stop = Atomic.make false in
+  let b =
+    Domain.spawn (fun () ->
+        churn (fun _ ->
+            Atomic.set started true;
+            Atomic.get stop))
+  in
+  let a =
+    Domain.spawn (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        Recorder.arm ();
+        let d = record () in
+        Recorder.disarm ();
+        Atomic.set stop true;
+        d)
+  in
+  let digest = Domain.join a in
+  Alcotest.(check int) "no arm found the bus off (second loop)" 0
+    (Domain.join b);
+  Alcotest.(check string) "a domain armed throughout records every exit"
+    reference digest;
+  Alcotest.(check bool) "guard = (count > 0) after both join"
+    (P.armed () > 0) !P.on
+
 (* --- the corpus codec ------------------------------------------------ *)
 
 let sample_entry () =
@@ -247,6 +354,13 @@ let () =
             test_collection_captures_edges;
           Alcotest.test_case "coverage armed leaves golden byte-identical"
             `Slow test_coverage_armed_is_zero_cost;
+        ] );
+      ( "bus",
+        [
+          Alcotest.test_case "recorder and coverage observe independently"
+            `Slow test_subscribers_independent;
+          Alcotest.test_case "arm/disarm race keeps an armed domain observed"
+            `Slow test_arm_disarm_race;
         ] );
       ( "corpus",
         [

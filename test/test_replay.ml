@@ -255,9 +255,10 @@ let test_record_sharded_across_domains () =
   Alcotest.(check (array string)) "domains 7 = domains 1" d1 (digests 7)
 
 let test_recording_is_zero_cost () =
-  (* The golden guarantee: the full golden scenario set, run with the
-     recorder armed, produces byte-identical output to the committed
-     snapshot (same gate as test_golden.ml). *)
+  (* The golden guarantee: the full golden scenario set produces
+     byte-identical output to the committed snapshot (same gate as
+     test_golden.ml) with the recorder armed, and with every observer
+     at once — recorder, coverage, metrics and span export. *)
   let read_file path =
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in
@@ -265,13 +266,30 @@ let test_recording_is_zero_cost () =
     s
   in
   let expected = read_file "golden/translation.expected" in
-  Recorder.arm ();
-  let actual =
-    Fun.protect ~finally:Recorder.disarm Covirt_harness.Golden.capture
+  let capture_with ~arm ~disarm =
+    arm ();
+    Fun.protect ~finally:disarm Covirt_harness.Golden.capture
   in
   Alcotest.(check bool)
     "golden capture byte-identical with recorder armed" true
-    (String.equal expected actual)
+    (String.equal expected
+       (capture_with ~arm:Recorder.arm ~disarm:Recorder.disarm));
+  let all_on () =
+    Recorder.arm ();
+    Coverage.arm ();
+    Covirt_obs.enable ();
+    Covirt_obs.Exporter.enable ()
+  and all_off () =
+    Recorder.disarm ();
+    Coverage.disarm ();
+    Covirt_obs.disable ();
+    Covirt_obs.reset ()
+  in
+  Alcotest.(check bool)
+    "golden capture byte-identical with recorder, coverage, metrics and \
+     export armed"
+    true
+    (String.equal expected (capture_with ~arm:all_on ~disarm:all_off))
 
 (* --- oracles --------------------------------------------------------- *)
 
